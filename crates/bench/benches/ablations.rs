@@ -70,7 +70,13 @@ fn extension_tiered(c: &mut Criterion) {
     group.warm_up_time(Duration::from_millis(500));
     group.measurement_time(Duration::from_secs(3));
     group.bench_function("tiered_hierarchy_mixed_host", |b| {
-        b.iter(|| black_box(tmo_experiments::ext_tiered::simulate(Scale::Quick)))
+        let runner = tmo_experiments::FleetRunner::default();
+        b.iter(|| {
+            black_box(tmo_experiments::ext_tiered::simulate_with(
+                &runner,
+                Scale::Quick,
+            ))
+        })
     });
     group.finish();
 }

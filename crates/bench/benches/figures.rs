@@ -6,7 +6,7 @@ use std::hint::black_box;
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use tmo_experiments::{run_figure, Scale};
+use tmo_experiments::{find, FleetRunner, Key, Scale};
 
 fn bench_figure(c: &mut Criterion, figure: u32, name: &str) {
     let mut group = c.benchmark_group("figures");
@@ -16,9 +16,11 @@ fn bench_figure(c: &mut Criterion, figure: u32, name: &str) {
     group.sample_size(10);
     group.warm_up_time(Duration::from_millis(500));
     group.measurement_time(Duration::from_secs(3));
+    let experiment = find(Key::Figure(figure)).expect("valid figure");
+    let runner = FleetRunner::default();
     group.bench_function(name, |b| {
         b.iter(|| {
-            let out = run_figure(black_box(figure), Scale::Quick).expect("valid figure");
+            let out = (experiment.run)(&runner, black_box(Scale::Quick));
             black_box(out.lines.len())
         })
     });

@@ -43,25 +43,6 @@ fn psi_observe(c: &mut Criterion) {
             black_box(psi.some_avg10(Resource::Memory))
         })
     });
-    // The batched totals form the Machine tick feeds: per-task stall
-    // totals for all three resources, no observation structs at all.
-    group.bench_function("observe_totals_8_tasks", |b| {
-        let mut psi = PsiGroup::new(8);
-        let window = SimDuration::from_millis(100);
-        let stalls: Vec<[SimDuration; 3]> = (0..8u64)
-            .map(|i| {
-                [
-                    SimDuration::from_nanos(800_000 + i * 1000),
-                    SimDuration::from_nanos(300_000 + i * 1000),
-                    SimDuration::ZERO,
-                ]
-            })
-            .collect();
-        b.iter(|| {
-            psi.observe_totals(window, black_box(&stalls));
-            black_box(psi.some_avg10(Resource::Memory))
-        })
-    });
     group.bench_function("interval_union_64", |b| {
         let sets: Vec<IntervalSet> = (0..64u64)
             .map(|i| IntervalSet::from_spans(&[(i * 1000, i * 1000 + 1500)]))
@@ -282,14 +263,14 @@ fn fleet_runner_scaling(c: &mut Criterion) {
         group.bench_function(format!("run_8_hosts_jobs_{jobs}"), |b| {
             let runner = tmo::runner::FleetRunner::new(jobs);
             b.iter(|| {
-                let ticks = runner.run_seeded(5, 8, |host| {
+                let ticks = runner.try_run(5, 8, |host, _| {
                     let mut machine = tmo_bench::bench_machine(host.seed);
                     for _ in 0..10 {
                         machine.tick();
                     }
                     machine.now()
                 });
-                black_box(ticks)
+                black_box(ticks.expect("bench hosts are fault-free").0)
             })
         });
     }
@@ -302,7 +283,7 @@ fn fleet_runner_scaling(c: &mut Criterion) {
             let runner = tmo::runner::FleetRunner::new(jobs);
             b.iter(|| {
                 let (savings, _) = runner
-                    .try_run_seeded_sharded(
+                    .try_run(
                         tmo_experiments::ext_paper_scale::EXPERIMENT_SEED,
                         1024,
                         tmo_experiments::ext_paper_scale::run_host,

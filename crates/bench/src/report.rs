@@ -40,7 +40,6 @@ pub struct BenchReport {
 /// and the zswap store/load path, plus the supporting micro groups.
 pub const REQUIRED_MICRO: &[(&str, &str)] = &[
     ("psi", "observe_8_tasks"),
-    ("psi", "observe_totals_8_tasks"),
     ("psi", "interval_union_64"),
     ("psi", "state_tracker_transition"),
     ("stats", "p2_quantile_observe"),

@@ -19,16 +19,21 @@
 //!   output;
 //! * each worker owns one [`ShardArena`] for its whole lifetime and
 //!   reuses it for every host in every shard it claims. The arena
-//!   carries only *allocation capacity* (see
-//!   [`MachineScratch`](crate::machine::MachineScratch)), never values,
-//!   so reuse is invisible to the simulation — an invariant pinned by
-//!   the `arena_reuse` test suite;
-//! * a panicking host surfaces as a [`FleetError`] naming the host
-//!   instead of hanging or poisoning the pool — and the
-//!   [`FleetRunner::run_collect`] family converts each panic into a
+//!   carries only *allocation capacity* (see [`MachineScratch`]), never
+//!   values, so reuse is invisible to the simulation — an invariant
+//!   pinned by the `arena_reuse` test suite;
+//! * a panicking host never hangs or poisons the pool: it becomes a
 //!   per-host [`HostOutcome::Failed`] record while every surviving
 //!   host's result is still reduced in index order (chaos experiments
 //!   lose one host, not the fleet).
+//!
+//! # One engine, two helpers
+//!
+//! [`FleetRunner::run_collect_seeded_sharded`] is the only engine. Two
+//! thin helpers cover the other call shapes:
+//! [`FleetRunner::try_run`] fails fast with the lowest-index
+//! [`FleetError`], and [`FleetRunner::run`] fans out index-only work
+//! items (figure tiers, sweep points) and panics on failure.
 //!
 //! # Why shards instead of one task per host
 //!
@@ -188,7 +193,8 @@ impl fmt::Display for FleetError {
 
 impl std::error::Error for FleetError {}
 
-/// Outcome of one host in a [`FleetRunner::run_collect`] run.
+/// Outcome of one host in a [`FleetRunner::run_collect_seeded_sharded`]
+/// run.
 #[derive(Debug, Clone, PartialEq)]
 pub enum HostOutcome<T> {
     /// The host ran to completion.
@@ -289,9 +295,8 @@ impl FleetStats {
 /// index, and shard results are merged in shard-index (= host-index)
 /// order. The closure `f` must itself be a pure function of its
 /// [`HostCtx`] (true for `Machine` simulations, which draw only from
-/// their seeded [`tmo_sim::DetRng`]); the arena handed to the sharded
-/// APIs carries allocation capacity only and must not influence
-/// results.
+/// their seeded [`tmo_sim::DetRng`]); the [`ShardArena`] handed to it
+/// carries allocation capacity only and must not influence results.
 ///
 /// # Example
 ///
@@ -300,10 +305,10 @@ impl FleetStats {
 ///
 /// let parallel = FleetRunner::exact(4);
 /// let sequential = FleetRunner::sequential();
-/// let f = |host: tmo::runner::HostCtx| host.seed.wrapping_mul(host.index as u64 + 1);
+/// let f = |host: tmo::runner::HostCtx, _: &mut _| host.seed.wrapping_mul(host.index as u64 + 1);
 /// assert_eq!(
-///     parallel.run_seeded(7, 100, f),
-///     sequential.run_seeded(7, 100, f),
+///     parallel.try_run(7, 100, f).unwrap().0,
+///     sequential.try_run(7, 100, f).unwrap().0,
 /// );
 /// ```
 #[derive(Debug, Clone)]
@@ -314,7 +319,7 @@ pub struct FleetRunner {
 impl Default for FleetRunner {
     /// A runner sized to the machine (`available_parallelism`).
     fn default() -> Self {
-        FleetRunner::auto()
+        FleetRunner::new(0)
     }
 }
 
@@ -329,11 +334,9 @@ impl FleetRunner {
     /// that must exercise the multi-worker merge path regardless of the
     /// machine use [`FleetRunner::exact`].
     pub fn new(jobs: usize) -> Self {
-        if jobs == 0 {
-            return FleetRunner::auto();
-        }
+        let cores = Self::machine_parallelism();
         FleetRunner {
-            jobs: jobs.min(Self::machine_parallelism()),
+            jobs: if jobs == 0 { cores } else { jobs.min(cores) },
         }
     }
 
@@ -342,13 +345,6 @@ impl FleetRunner {
     /// to drive the real multi-worker claim/merge path on any host.
     pub fn exact(jobs: usize) -> Self {
         FleetRunner { jobs: jobs.max(1) }
-    }
-
-    /// A runner sized to the machine's available parallelism.
-    pub fn auto() -> Self {
-        FleetRunner {
-            jobs: Self::machine_parallelism(),
-        }
     }
 
     /// The degenerate single-worker runner: runs hosts inline on the
@@ -370,63 +366,15 @@ impl FleetRunner {
     }
 
     /// The machine seed for `host_index` under `experiment_seed` — the
-    /// exact mapping `run_seeded` uses.
+    /// exact mapping every fleet run uses for [`HostCtx::seed`].
     pub fn host_seed(experiment_seed: u64, host_index: usize) -> u64 {
         derive_host_seed(experiment_seed, host_index as u64)
     }
 
-    /// Runs `hosts` simulations with seeds derived from
-    /// `experiment_seed`, returning results in host-index order.
-    ///
-    /// # Panics
-    ///
-    /// Propagates the first (lowest-index) host panic, naming the host.
-    pub fn run_seeded<T, F>(&self, experiment_seed: u64, hosts: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(HostCtx) -> T + Sync,
-    {
-        match self.try_run_seeded(experiment_seed, hosts, f) {
-            Ok((results, _)) => results,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Like [`FleetRunner::run_seeded`], but also returns worker stats
-    /// and surfaces host panics as a [`FleetError`].
-    pub fn try_run_seeded<T, F>(
-        &self,
-        experiment_seed: u64,
-        hosts: usize,
-        f: F,
-    ) -> Result<(Vec<T>, FleetStats), FleetError>
-    where
-        T: Send,
-        F: Fn(HostCtx) -> T + Sync,
-    {
-        self.try_run_seeded_sharded(experiment_seed, hosts, move |ctx, _| f(ctx))
-    }
-
-    /// Arena-aware form of [`FleetRunner::run_seeded`]: the closure
-    /// also receives its worker's [`ShardArena`], from which it can
-    /// recycle [`MachineScratch`] buffers across the hosts of a shard.
-    ///
-    /// # Panics
-    ///
-    /// Propagates the first (lowest-index) host panic, naming the host.
-    pub fn run_seeded_sharded<T, F>(&self, experiment_seed: u64, hosts: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(HostCtx, &mut ShardArena) -> T + Sync,
-    {
-        match self.try_run_seeded_sharded(experiment_seed, hosts, f) {
-            Ok((results, _)) => results,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Arena-aware form of [`FleetRunner::try_run_seeded`].
-    pub fn try_run_seeded_sharded<T, F>(
+    /// Fails fast over [`FleetRunner::run_collect_seeded_sharded`]:
+    /// results in host-index order when every host completed, otherwise
+    /// the lowest-index host panic as a [`FleetError`].
+    pub fn try_run<T, F>(
         &self,
         experiment_seed: u64,
         hosts: usize,
@@ -436,70 +384,55 @@ impl FleetRunner {
         T: Send,
         F: Fn(HostCtx, &mut ShardArena) -> T + Sync,
     {
-        self.execute(hosts, f, move |index| {
-            FleetRunner::host_seed(experiment_seed, index)
-        })
+        let (outcomes, stats) = self.run_collect_seeded_sharded(experiment_seed, hosts, f);
+        // Outcomes are in index order, so the first failure is the
+        // lowest-index one.
+        let results = outcomes
+            .into_iter()
+            .map(|outcome| match outcome {
+                HostOutcome::Completed(value) => Ok(value),
+                HostOutcome::Failed(e) => Err(e),
+            })
+            .collect::<Result<Vec<T>, FleetError>>()?;
+        Ok((results, stats))
     }
 
-    /// Runs `hosts` index-only simulations (no seed derivation) in
-    /// host-index order — for fan-out over heterogeneous work items that
+    /// Fans `hosts` work items out by index, returning results in index
+    /// order — for heterogeneous items (figure tiers, sweep points) that
     /// carry their own seeds.
     ///
     /// # Panics
     ///
-    /// Propagates the first (lowest-index) host panic, naming the host.
+    /// Propagates the first (lowest-index) panic, naming the item.
     pub fn run<T, F>(&self, hosts: usize, f: F) -> Vec<T>
     where
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
-        match self.try_run(hosts, f) {
+        match self.try_run(0, hosts, move |ctx, _| f(ctx.index)) {
             Ok((results, _)) => results,
             Err(e) => panic!("{e}"),
         }
     }
 
-    /// Like [`FleetRunner::run`], but also returns worker stats and
-    /// surfaces host panics as a [`FleetError`].
-    pub fn try_run<T, F>(&self, hosts: usize, f: F) -> Result<(Vec<T>, FleetStats), FleetError>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        self.execute(hosts, move |ctx, _| f(ctx.index), |index| index as u64)
-    }
-
-    /// Runs `hosts` index-only simulations and returns **all** per-host
-    /// outcomes in host-index order: surviving hosts as
-    /// [`HostOutcome::Completed`], panicked hosts as
-    /// [`HostOutcome::Failed`]. One bad host no longer discards the
-    /// rest of the fleet's work.
-    pub fn run_collect<T, F>(&self, hosts: usize, f: F) -> (Vec<HostOutcome<T>>, FleetStats)
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        self.execute_collect(hosts, move |ctx, _| f(ctx.index), |index| index as u64)
-    }
-
-    /// Like [`FleetRunner::run_collect`] with seeds derived from
-    /// `experiment_seed` — the chaos-experiment entry point: injected
-    /// host panics become per-host failure records while every
-    /// surviving host's result is still reduced in index order.
-    pub fn run_collect_seeded<T, F>(
-        &self,
-        experiment_seed: u64,
-        hosts: usize,
-        f: F,
-    ) -> (Vec<HostOutcome<T>>, FleetStats)
-    where
-        T: Send,
-        F: Fn(HostCtx) -> T + Sync,
-    {
-        self.run_collect_seeded_sharded(experiment_seed, hosts, move |ctx, _| f(ctx))
-    }
-
-    /// Arena-aware form of [`FleetRunner::run_collect_seeded`].
+    /// The fleet engine: runs `hosts` simulations with seeds derived
+    /// from `experiment_seed` and returns **every** per-host outcome in
+    /// host-index order — survivors as [`HostOutcome::Completed`],
+    /// panicked hosts as [`HostOutcome::Failed`] — so one bad host
+    /// costs the fleet one result, not all of them.
+    ///
+    /// The host range is partitioned by [`shard_plan`], workers claim
+    /// whole shards off an atomic counter, every host index runs
+    /// exactly once inside its shard against the worker's
+    /// [`ShardArena`], and shard results are concatenated in
+    /// shard-index order — which, because shards are contiguous
+    /// ascending ranges, is host-index order.
+    ///
+    /// This is the allowlisted timing layer (see the module docs): the
+    /// clippy exemption below and the per-site `lint: allow` comments
+    /// cover the same three `Instant::now` reads, whose values are
+    /// reported to stderr only.
+    #[allow(clippy::disallowed_methods)]
     pub fn run_collect_seeded_sharded<T, F>(
         &self,
         experiment_seed: u64,
@@ -510,74 +443,13 @@ impl FleetRunner {
         T: Send,
         F: Fn(HostCtx, &mut ShardArena) -> T + Sync,
     {
-        self.execute_collect(hosts, f, move |index| {
-            FleetRunner::host_seed(experiment_seed, index)
-        })
-    }
-
-    /// The fail-fast API, built on the collect engine: completed
-    /// results are returned only when every host survived; otherwise
-    /// the lowest-index failure is the error.
-    fn execute<T, F, S>(
-        &self,
-        hosts: usize,
-        f: F,
-        seed_of: S,
-    ) -> Result<(Vec<T>, FleetStats), FleetError>
-    where
-        T: Send,
-        F: Fn(HostCtx, &mut ShardArena) -> T + Sync,
-        S: Fn(usize) -> u64 + Sync,
-    {
-        let (outcomes, stats) = self.execute_collect(hosts, f, seed_of);
-        let mut results = Vec::with_capacity(hosts);
-        let mut first_error: Option<FleetError> = None;
-        // Outcomes are in index order, so the first failure seen is the
-        // lowest-index one.
-        for outcome in outcomes {
-            match outcome {
-                HostOutcome::Completed(value) => results.push(value),
-                HostOutcome::Failed(e) => {
-                    first_error.get_or_insert(e);
-                }
-            }
-        }
-        match first_error {
-            Some(e) => Err(e),
-            None => Ok((results, stats)),
-        }
-    }
-
-    /// The single fleet engine: the host range is partitioned by
-    /// [`shard_plan`], workers claim whole shards off an atomic
-    /// counter, every host index runs exactly once inside its shard,
-    /// and shard results are concatenated in shard-index order — which,
-    /// because shards are contiguous ascending ranges, is host-index
-    /// order.
-    ///
-    /// This is the allowlisted timing layer (see the module docs): the
-    /// clippy exemption below and the per-site `lint: allow` comments
-    /// cover the same three `Instant::now` reads, whose values are
-    /// reported to stderr only.
-    #[allow(clippy::disallowed_methods)]
-    fn execute_collect<T, F, S>(
-        &self,
-        hosts: usize,
-        f: F,
-        seed_of: S,
-    ) -> (Vec<HostOutcome<T>>, FleetStats)
-    where
-        T: Send,
-        F: Fn(HostCtx, &mut ShardArena) -> T + Sync,
-        S: Fn(usize) -> u64 + Sync,
-    {
         let start = Instant::now(); // lint: allow(wall-clock) stderr-only speedup reporting via FleetStats::summary_line
         let workers = self.jobs.min(hosts).max(1);
         let shards = shard_plan(hosts, workers, OVERSUBSCRIBE);
         let run_host = |index: usize, arena: &mut ShardArena| -> HostOutcome<T> {
             let ctx = HostCtx {
                 index,
-                seed: seed_of(index),
+                seed: FleetRunner::host_seed(experiment_seed, index),
             };
             match catch_unwind(AssertUnwindSafe(|| f(ctx, arena))) {
                 Ok(value) => HostOutcome::Completed(value),
@@ -710,7 +582,7 @@ mod tests {
     fn results_come_back_in_host_index_order_with_hosts_far_exceeding_workers() {
         let runner = FleetRunner::exact(4);
         let (results, stats) = runner
-            .try_run(257, |index| index * 3)
+            .try_run(0, 257, |host, _| host.index * 3)
             .expect("no host panics");
         assert_eq!(results, (0..257).map(|i| i * 3).collect::<Vec<_>>());
         assert_eq!(stats.hosts, 257);
@@ -722,21 +594,21 @@ mod tests {
 
     #[test]
     fn jobs_one_degenerate_case_matches_parallel() {
-        let f = |host: HostCtx| (host.index, host.seed, host.seed % 7);
-        let sequential = FleetRunner::sequential().run_seeded(11, 40, f);
-        let parallel = FleetRunner::exact(8).run_seeded(11, 40, f);
+        let f = |host: HostCtx, _: &mut ShardArena| (host.index, host.seed, host.seed % 7);
+        let sequential = FleetRunner::sequential().try_run(11, 40, f).unwrap().0;
+        let parallel = FleetRunner::exact(8).try_run(11, 40, f).unwrap().0;
         assert_eq!(sequential, parallel);
     }
 
     #[test]
     fn jobs_zero_sizes_to_the_machine() {
         assert!(FleetRunner::new(0).jobs() >= 1);
-        assert_eq!(FleetRunner::new(0).jobs(), FleetRunner::auto().jobs());
+        assert_eq!(FleetRunner::new(0).jobs(), FleetRunner::default().jobs());
     }
 
     #[test]
     fn new_clamps_to_machine_parallelism_and_exact_does_not() {
-        let cores = FleetRunner::auto().jobs();
+        let cores = FleetRunner::new(0).jobs();
         assert!(FleetRunner::new(10_000).jobs() <= cores);
         assert_eq!(FleetRunner::exact(10_000).jobs(), 10_000);
         assert_eq!(FleetRunner::exact(0).jobs(), 1);
@@ -783,8 +655,9 @@ mod tests {
 
     #[test]
     fn seeds_are_per_host_and_independent_of_jobs() {
-        let seeds_seq = FleetRunner::sequential().run_seeded(42, 16, |h| h.seed);
-        let seeds_par = FleetRunner::exact(4).run_seeded(42, 16, |h| h.seed);
+        let seeds = |runner: FleetRunner| runner.try_run(42, 16, |h, _| h.seed).unwrap().0;
+        let seeds_seq = seeds(FleetRunner::sequential());
+        let seeds_par = seeds(FleetRunner::exact(4));
         assert_eq!(seeds_seq, seeds_par);
         for (index, seed) in seeds_seq.iter().enumerate() {
             assert_eq!(*seed, FleetRunner::host_seed(42, index));
@@ -800,12 +673,14 @@ mod tests {
         // Count scratch handoffs: each host takes the scratch and puts
         // it back, so within one sequential worker the arena must carry
         // the same scratch through all hosts.
-        let handoffs = FleetRunner::sequential().run_seeded_sharded(5, 10, |_ctx, arena| {
-            let had = arena.has_scratch();
-            let scratch = arena.take_scratch();
-            arena.put_scratch(scratch);
-            had
-        });
+        let (handoffs, _) = FleetRunner::sequential()
+            .try_run(5, 10, |_ctx, arena| {
+                let had = arena.has_scratch();
+                let scratch = arena.take_scratch();
+                arena.put_scratch(scratch);
+                had
+            })
+            .unwrap();
         assert!(!handoffs[0], "first host starts with an empty arena");
         assert!(
             handoffs[1..].iter().all(|&had| had),
@@ -817,11 +692,11 @@ mod tests {
     fn panicking_host_surfaces_an_error_instead_of_hanging() {
         let runner = FleetRunner::exact(4);
         let err = runner
-            .try_run(64, |index| {
-                if index == 13 {
+            .try_run(0, 64, |host, _| {
+                if host.index == 13 {
                     panic!("boom on host 13");
                 }
-                index
+                host.index
             })
             .expect_err("host 13 panicked");
         assert_eq!(err.host, 13);
@@ -831,11 +706,11 @@ mod tests {
     #[test]
     fn panicking_host_reports_lowest_index_sequentially_too() {
         let err = FleetRunner::sequential()
-            .try_run(8, |index| {
-                if index >= 2 {
+            .try_run(0, 8, |host, _| {
+                if host.index >= 2 {
                     panic!("late failure");
                 }
-                index
+                host.index
             })
             .expect_err("host 2 panicked");
         assert_eq!(err.host, 2);
@@ -860,12 +735,14 @@ mod tests {
 
     #[test]
     fn run_collect_keeps_survivors_alongside_failures() {
-        let (outcomes, stats) = FleetRunner::exact(4).run_collect(64, |index| {
-            if index % 10 == 3 {
-                panic!("injected panic on host {index}");
-            }
-            index * 2
-        });
+        let (outcomes, stats) =
+            FleetRunner::exact(4).run_collect_seeded_sharded(0, 64, |host, _| {
+                let index = host.index;
+                if index % 10 == 3 {
+                    panic!("injected panic on host {index}");
+                }
+                index * 2
+            });
         assert_eq!(outcomes.len(), 64);
         assert_eq!(stats.shard_hosts.iter().sum::<usize>(), 64);
         for (index, outcome) in outcomes.iter().enumerate() {
@@ -883,14 +760,14 @@ mod tests {
 
     #[test]
     fn run_collect_is_identical_for_any_worker_count() {
-        let f = |h: HostCtx| {
+        let f = |h: HostCtx, _: &mut ShardArena| {
             if h.index % 7 == 5 {
                 panic!("chaos host {}", h.index);
             }
             h.seed
         };
-        let (seq, _) = FleetRunner::sequential().run_collect_seeded(1300, 50, f);
-        let (par, _) = FleetRunner::exact(4).run_collect_seeded(1300, 50, f);
+        let (seq, _) = FleetRunner::sequential().run_collect_seeded_sharded(1300, 50, f);
+        let (par, _) = FleetRunner::exact(4).run_collect_seeded_sharded(1300, 50, f);
         assert_eq!(seq, par);
     }
 
@@ -919,11 +796,14 @@ mod tests {
         // String payload, host 4 with a non-string payload. Every other
         // host in the same shard must still complete, and each failure
         // record must carry the best available message.
-        let (outcomes, _) = FleetRunner::sequential().run_collect(6, |index| match index {
-            2 => panic!("poisoned host {index}"),
-            4 => std::panic::panic_any(index as u64),
-            _ => index + 100,
-        });
+        let (outcomes, _) =
+            FleetRunner::sequential().run_collect_seeded_sharded(0, 6, |host, _| {
+                match host.index {
+                    2 => panic!("poisoned host 2"),
+                    4 => std::panic::panic_any(4u64),
+                    index => index + 100,
+                }
+            });
         assert_eq!(outcomes.len(), 6);
         let string_err = outcomes[2].failure().expect("host 2 failed");
         assert_eq!(string_err.host, 2);
@@ -946,7 +826,7 @@ mod tests {
     #[test]
     fn zero_hosts_is_fine() {
         let (results, stats) = FleetRunner::exact(4)
-            .try_run(0, |i| i)
+            .try_run(0, 0, |host, _| host.index)
             .expect("empty fleet");
         assert!(results.is_empty());
         assert_eq!(stats.hosts, 0);
@@ -956,7 +836,9 @@ mod tests {
 
     #[test]
     fn stats_summary_line_mentions_hosts_and_workers() {
-        let (_, stats) = FleetRunner::exact(2).try_run(40, |i| i).expect("runs");
+        let (_, stats) = FleetRunner::exact(2)
+            .try_run(0, 40, |host, _| host.index)
+            .expect("runs");
         let line = stats.summary_line();
         assert!(line.contains("40 hosts"), "line: {line}");
         assert!(line.contains("2 worker"), "line: {line}");

@@ -101,7 +101,9 @@ fn host_alone_matches_host_in_shard() {
     // exact() bypasses the machine clamp, so the multi-worker shard
     // merge really runs even on a single-core machine.
     for workers in [1, 2, 4] {
-        let fleet = FleetRunner::exact(workers).run_seeded_sharded(SEED, HOSTS, fleet_host(None));
+        let (fleet, _) = FleetRunner::exact(workers)
+            .try_run(SEED, HOSTS, fleet_host(None))
+            .expect("no host panics");
         assert_eq!(alone, fleet, "workers={workers} diverged from solo runs");
     }
 }
@@ -130,7 +132,9 @@ fn crash_churn_schedule_is_arena_invariant() {
     let faults = Some(crash_churn());
     let alone: Vec<Fingerprint> = (0..HOSTS).map(|i| solo(SEED, i, faults)).collect();
     for workers in [1, 3, 4] {
-        let fleet = FleetRunner::exact(workers).run_seeded_sharded(SEED, HOSTS, fleet_host(faults));
+        let (fleet, _) = FleetRunner::exact(workers)
+            .try_run(SEED, HOSTS, fleet_host(faults))
+            .expect("no host panics");
         assert_eq!(alone, fleet, "workers={workers} diverged under crash churn");
     }
 }

@@ -7,9 +7,9 @@
 //!    worker counts, and oversubscription factors. The deterministic
 //!    merge concatenates shard results in shard order; any hole or
 //!    overlap would silently drop or duplicate hosts.
-//! 2. The shard-chunked execution path (`run_seeded_sharded`, arenas,
-//!    work-stealing claim order) produces output identical to the plain
-//!    per-host path (`run_seeded`) for any worker count.
+//! 2. The shard-chunked execution path (arenas, work-stealing claim
+//!    order) produces output identical to a plain sequential per-host
+//!    loop that ignores its arena, for any worker count.
 
 use proptest::prelude::*;
 
@@ -86,7 +86,7 @@ proptest! {
         jobs in 1usize..9,
         seed in any::<u64>(),
     ) {
-        // The old contract: one closure call per host, no arena. The
+        // The reference: one closure call per host, arena unused. The
         // host function must be a pure function of (seed, index), so a
         // keyed mix of both stands in for a simulation.
         let mix = |index: usize, host_seed: u64| {
@@ -95,19 +95,21 @@ proptest! {
             x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
             (index, x)
         };
-        let plain = FleetRunner::sequential().run_seeded(seed, hosts, |host| {
-            mix(host.index, host.seed)
-        });
+        let (plain, _) = FleetRunner::sequential()
+            .try_run(seed, hosts, |host, _| mix(host.index, host.seed))
+            .expect("pure hosts never panic");
         // `exact` bypasses the machine clamp: the multi-worker shard
         // claim/merge path runs even on a single-core machine.
-        let sharded = FleetRunner::exact(jobs).run_seeded_sharded(seed, hosts, |host, arena| {
-            // Exercise the arena plumbing; parked scratch must not
-            // influence results.
-            let scratch = arena.take_scratch();
-            let out = mix(host.index, host.seed);
-            arena.put_scratch(scratch);
-            out
-        });
+        let (sharded, _) = FleetRunner::exact(jobs)
+            .try_run(seed, hosts, |host, arena| {
+                // Exercise the arena plumbing; parked scratch must not
+                // influence results.
+                let scratch = arena.take_scratch();
+                let out = mix(host.index, host.seed);
+                arena.put_scratch(scratch);
+                out
+            })
+            .expect("pure hosts never panic");
         prop_assert_eq!(plain, sharded);
     }
 }

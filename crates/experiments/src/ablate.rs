@@ -270,11 +270,6 @@ pub fn reclaim_interval(interval: SimDuration, scale: Scale) -> IntervalResult {
     }
 }
 
-/// Runs all ablations and renders the summary, sized to the machine.
-pub fn run(scale: Scale) -> ExperimentOutput {
-    run_with(&tmo::runner::FleetRunner::default(), scale)
-}
-
 /// Runs all ablations and renders the summary, fanning each ablation's
 /// arms out over the runner.
 pub fn run_with(runner: &tmo::runner::FleetRunner, scale: Scale) -> ExperimentOutput {

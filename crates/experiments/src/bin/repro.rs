@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! repro --figure 9            # one figure
-//! repro --all                 # every figure plus the ablations
+//! repro --all                 # every figure, ablation and extension
 //! repro --all --quick         # reduced scale
 //! repro --all --jobs 8        # shard multi-host figures over 8 workers
 //! repro --figure 12 --csv out # also export raw series as CSV
@@ -12,11 +12,7 @@ use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use tmo_experiments::{
-    ablate, experiment_description, ext_adversarial, ext_chaos, ext_sweep, ext_tiered,
-    figure_description, headline, run_figure_with, run_named_with, ExperimentOutput, FleetRunner,
-    Scale, ALL_FIGURES, NAMED_EXPERIMENTS,
-};
+use tmo_experiments::{select, ExperimentOutput, FleetRunner, Key, Scale, EXPERIMENTS};
 
 #[derive(Debug, Default)]
 struct Args {
@@ -69,12 +65,14 @@ fn parse_args() -> Result<Args, String> {
                      one-line description, without running anything.\n\n\
                      Figures: {}\n\
                      Experiments: {}",
-                    ALL_FIGURES
-                        .iter()
-                        .map(u32::to_string)
-                        .collect::<Vec<_>>()
-                        .join(", "),
-                    NAMED_EXPERIMENTS.join(", ")
+                    keys(|key| match key {
+                        Key::Figure(number) => Some(number.to_string()),
+                        Key::Named(_) => None,
+                    }),
+                    keys(|key| match key {
+                        Key::Figure(_) => None,
+                        Key::Named(name) => Some(name.to_string()),
+                    }),
                 );
                 std::process::exit(0);
             }
@@ -91,6 +89,15 @@ fn parse_args() -> Result<Args, String> {
         args.all = true;
     }
     Ok(args)
+}
+
+/// The registry keys `pick` accepts, comma-separated.
+fn keys(pick: impl Fn(Key<'static>) -> Option<String>) -> String {
+    EXPERIMENTS
+        .iter()
+        .filter_map(|e| pick(e.key))
+        .collect::<Vec<_>>()
+        .join(", ")
 }
 
 fn export_csv(dir: &PathBuf, out: &ExperimentOutput) -> std::io::Result<()> {
@@ -118,17 +125,32 @@ fn main() -> ExitCode {
     };
     if args.list {
         println!("figures:");
-        for figure in ALL_FIGURES {
-            let desc = figure_description(figure).unwrap_or("(undocumented)");
-            println!("  {figure:>2}  {desc}");
+        for e in EXPERIMENTS {
+            if let Key::Figure(number) = e.key {
+                println!("  {number:>2}  {}", e.description);
+            }
         }
         println!("experiments:");
-        for name in NAMED_EXPERIMENTS {
-            let desc = experiment_description(name).unwrap_or("(undocumented)");
-            println!("  {name:<16} {desc}");
+        for e in EXPERIMENTS {
+            if let Key::Named(name) = e.key {
+                println!("  {name:<16} {}", e.description);
+            }
         }
         return ExitCode::SUCCESS;
     }
+    let selected = match select(
+        &args.figures,
+        &args.experiments,
+        args.all,
+        args.ablations,
+        args.extensions,
+    ) {
+        Ok(selected) => selected,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let scale = if args.quick {
         Scale::Quick
     } else {
@@ -140,17 +162,8 @@ fn main() -> ExitCode {
          identical for any worker count",
         runner.jobs()
     );
-    let figures: Vec<u32> = if args.all {
-        ALL_FIGURES.to_vec()
-    } else {
-        args.figures.clone()
-    };
-
-    for figure in figures {
-        let Some(output) = run_figure_with(&runner, figure, scale) else {
-            eprintln!("figure {figure} is not part of the paper");
-            return ExitCode::FAILURE;
-        };
+    for experiment in selected {
+        let output = (experiment.run)(&runner, scale);
         println!("{}", output.render());
         if let Some(dir) = &args.csv {
             if let Err(e) = export_csv(dir, &output) {
@@ -158,38 +171,6 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         }
-    }
-    for name in &args.experiments {
-        let Some(output) = run_named_with(&runner, name, scale) else {
-            eprintln!(
-                "unknown experiment {name}; known: {}",
-                NAMED_EXPERIMENTS.join(", ")
-            );
-            return ExitCode::FAILURE;
-        };
-        println!("{}", output.render());
-        if let Some(dir) = &args.csv {
-            if let Err(e) = export_csv(dir, &output) {
-                eprintln!("csv export failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if args.all || args.ablations {
-        let output = ablate::run_with(&runner, scale);
-        println!("{}", output.render());
-    }
-    if args.all || args.extensions {
-        let output = ext_tiered::run_with(&runner, scale);
-        println!("{}", output.render());
-        let output = ext_sweep::run_with(&runner, scale);
-        println!("{}", output.render());
-        let output = ext_chaos::run_with(&runner, scale);
-        println!("{}", output.render());
-        let output = ext_adversarial::run_with(&runner, scale);
-        println!("{}", output.render());
-        let output = headline::run_with(&runner, scale);
-        println!("{}", output.render());
     }
     ExitCode::SUCCESS
 }

@@ -7,7 +7,8 @@
 //! deployment storms, and their composite — against small seeded
 //! fleets and reports, per scenario: the degradation score (stall
 //! budget + kills + time-to-recover), the SLO violation count, and the
-//! headline blame edge ("whose growth cost whom the most stall").
+//! headline causal blame edge ("whose reclaim pressure cost whom the
+//! most stall").
 //!
 //! It closes with a paired A/B harness: the same seeded hosts run the
 //! flash-crowd script twice, under the mild production Senpai tuning
@@ -18,7 +19,7 @@
 //!
 //! Like every experiment here, the whole table is bit-identical for
 //! any `--jobs N`: scenario draws hash `(seed, tick)` via
-//! [`tmo_faults::FaultPlan`] and hosts aggregate in index order.
+//! `tmo_faults::FaultPlan` and hosts aggregate in index order.
 
 use tmo::prelude::*;
 use tmo::runner::FleetRunner;
@@ -115,9 +116,9 @@ pub struct ScenarioPoint {
     pub worst_recovery_secs: f64,
     /// Containers that violated their SLO, summed across survivors.
     pub violations: usize,
-    /// The biggest cross-container blame edge anywhere in the fleet:
-    /// `(victim name, offender name, stall seconds, share of victim's
-    /// stall)`.
+    /// The biggest cross-container edge of the causal blame ledger
+    /// anywhere in the fleet: `(victim name, offender name, stall
+    /// seconds, share of victim's stall)`.
     pub top_blame: Option<(String, String, f64, f64)>,
 }
 
@@ -147,7 +148,7 @@ pub fn run_point(runner: &FleetRunner, scenario: &Scenario, scale: Scale) -> Sce
     let top_blame = survivors
         .iter()
         .filter_map(|o| {
-            let edge = o.top_blame()?;
+            let edge = o.top_causal_blame()?;
             let victim = o.reports.get(edge.victim)?.name.clone();
             let offender = o.reports.get(edge.offender)?.name.clone();
             Some((victim, offender, edge.stall_secs, edge.share))
@@ -228,22 +229,12 @@ pub fn run_ab(runner: &FleetRunner, scenario: &Scenario, scale: Scale) -> AbResu
     }
 }
 
-/// Runs every catalog scenario, sized to the machine.
-pub fn simulate(scale: Scale) -> Vec<ScenarioPoint> {
-    simulate_with(&FleetRunner::default(), scale)
-}
-
 /// Runs every catalog scenario on the given runner.
 pub fn simulate_with(runner: &FleetRunner, scale: Scale) -> Vec<ScenarioPoint> {
     scenarios(scale)
         .iter()
         .map(|s| run_point(runner, s, scale))
         .collect()
-}
-
-/// Regenerates the adversarial table, sized to the machine.
-pub fn run(scale: Scale) -> ExperimentOutput {
-    run_with(&FleetRunner::default(), scale)
 }
 
 /// Regenerates the adversarial table on the given runner.

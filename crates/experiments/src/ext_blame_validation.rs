@@ -147,22 +147,12 @@ pub fn run_case(runner: &FleetRunner, case: &PlantedScenario, scale: Scale) -> C
     }
 }
 
-/// Runs every planted case, sized to the machine.
-pub fn simulate(scale: Scale) -> Vec<CaseResult> {
-    simulate_with(&FleetRunner::default(), scale)
-}
-
 /// Runs every planted case on the given runner.
 pub fn simulate_with(runner: &FleetRunner, scale: Scale) -> Vec<CaseResult> {
     planted_cases(scale)
         .iter()
         .map(|c| run_case(runner, c, scale))
         .collect()
-}
-
-/// Regenerates the precision table, sized to the machine.
-pub fn run(scale: Scale) -> ExperimentOutput {
-    run_with(&FleetRunner::default(), scale)
 }
 
 /// Regenerates the precision table on the given runner.

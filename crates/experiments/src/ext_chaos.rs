@@ -7,11 +7,11 @@
 //! curve*: how memory savings and tail swap latency erode — and how
 //! many hosts are lost outright — as the fault rate rises.
 //!
-//! Every fault is scheduled by [`FaultPlan`](tmo_faults::FaultPlan)
+//! Every fault is scheduled by `tmo_faults::FaultPlan`
 //! hashes of `(experiment seed, host index, tick)`, so the whole sweep
 //! — including which hosts die and when — is bit-identical for any
 //! `--jobs N`. Injected host panics are absorbed per host by
-//! [`FleetRunner::run_collect_seeded`]; dead swap devices fail over
+//! [`FleetRunner::run_collect_seeded_sharded`]; dead swap devices fail over
 //! (tiered hosts route around the dead tier, the rest degrade to
 //! zero-fill loads counted as `lost_loads`).
 
@@ -198,22 +198,12 @@ pub fn run_point(runner: &FleetRunner, intensity: f64, scale: Scale) -> ChaosPoi
     }
 }
 
-/// Runs the whole sweep, sized to the machine.
-pub fn simulate(scale: Scale) -> Vec<ChaosPoint> {
-    simulate_with(&FleetRunner::default(), scale)
-}
-
 /// Runs the whole sweep on the given runner.
 pub fn simulate_with(runner: &FleetRunner, scale: Scale) -> Vec<ChaosPoint> {
     INTENSITIES
         .iter()
         .map(|&intensity| run_point(runner, intensity, scale))
         .collect()
-}
-
-/// Regenerates the degradation table, sized to the machine.
-pub fn run(scale: Scale) -> ExperimentOutput {
-    run_with(&FleetRunner::default(), scale)
 }
 
 /// Regenerates the degradation table on the given runner.

@@ -138,7 +138,7 @@ pub fn checksum_savings(hosts: &[HostSavings]) -> u64 {
 pub fn run_point(hosts: usize, jobs: usize) -> ScalePoint {
     let runner = FleetRunner::new(jobs);
     let (savings, stats) = runner
-        .try_run_seeded_sharded(EXPERIMENT_SEED, hosts, run_host)
+        .try_run(EXPERIMENT_SEED, hosts, run_host)
         .expect("scaling hosts are fault-free");
     eprintln!(
         "paper_scale hosts={hosts} jobs={jobs}: {}",
@@ -306,11 +306,11 @@ mod tests {
         // run must agree bit-for-bit — the merge path is exercised even
         // on a single-core machine.
         let clamped = FleetRunner::new(8)
-            .try_run_seeded_sharded(EXPERIMENT_SEED, 120, run_host)
+            .try_run(EXPERIMENT_SEED, 120, run_host)
             .expect("fault-free")
             .0;
         let exact = FleetRunner::exact(8)
-            .try_run_seeded_sharded(EXPERIMENT_SEED, 120, run_host)
+            .try_run(EXPERIMENT_SEED, 120, run_host)
             .expect("fault-free")
             .0;
         assert_eq!(clamped, exact);

@@ -83,19 +83,9 @@ pub fn run_point(psi_threshold: f64, scale: Scale) -> SweepPoint {
 /// aggressive.
 pub const THRESHOLDS: [f64; 5] = [0.0005, 0.001, 0.005, 0.02, 0.05];
 
-/// Runs the full sweep, sized to the machine.
-pub fn simulate(scale: Scale) -> Vec<SweepPoint> {
-    simulate_with(&tmo::runner::FleetRunner::default(), scale)
-}
-
 /// Runs the full sweep, one worker per grid point.
 pub fn simulate_with(runner: &tmo::runner::FleetRunner, scale: Scale) -> Vec<SweepPoint> {
     runner.run(THRESHOLDS.len(), |i| run_point(THRESHOLDS[i], scale))
-}
-
-/// Regenerates the tuning sweep, sized to the machine.
-pub fn run(scale: Scale) -> ExperimentOutput {
-    run_with(&tmo::runner::FleetRunner::default(), scale)
 }
 
 /// Regenerates the tuning sweep on the given runner.

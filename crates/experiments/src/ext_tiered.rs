@@ -63,11 +63,6 @@ pub fn run_backend(label: &str, swap: SwapKind, scale: Scale) -> TieredResult {
     }
 }
 
-/// Runs all three architectures, sized to the machine.
-pub fn simulate(scale: Scale) -> Vec<TieredResult> {
-    simulate_with(&tmo::runner::FleetRunner::default(), scale)
-}
-
 /// Runs all three architectures, one worker per backend.
 pub fn simulate_with(runner: &tmo::runner::FleetRunner, scale: Scale) -> Vec<TieredResult> {
     let backends: [(&str, SwapKind); 3] = [
@@ -94,11 +89,6 @@ pub fn simulate_with(runner: &tmo::runner::FleetRunner, scale: Scale) -> Vec<Tie
         let (label, swap) = backends[i].clone();
         run_backend(label, swap, scale)
     })
-}
-
-/// Regenerates the extension comparison, sized to the machine.
-pub fn run(scale: Scale) -> ExperimentOutput {
-    run_with(&tmo::runner::FleetRunner::default(), scale)
 }
 
 /// Regenerates the extension comparison on the given runner.
@@ -146,7 +136,7 @@ mod tests {
 
     #[test]
     fn tiered_trades_where_the_paper_says_it_should() {
-        let results = simulate(Scale::Quick);
+        let results = simulate_with(&crate::FleetRunner::default(), Scale::Quick);
         let (zswap, ssd, tiered) = (&results[0], &results[1], &results[2]);
         // The hierarchy matches or beats SSD-only on savings (within
         // run-to-run noise): its warm tier absorbs the compressible

@@ -58,11 +58,6 @@ pub fn measure(profile: &AppProfile, scale: Scale) -> ColdnessRow {
     }
 }
 
-/// Regenerates Figure 2, sized to the machine.
-pub fn run(scale: Scale) -> ExperimentOutput {
-    run_with(&tmo::runner::FleetRunner::default(), scale)
-}
-
 /// Regenerates Figure 2 for the seven characterised applications, one
 /// worker per application.
 pub fn run_with(runner: &tmo::runner::FleetRunner, scale: Scale) -> ExperimentOutput {

@@ -45,11 +45,6 @@ pub fn measure(profile: &AppProfile, zswap: bool, scale: Scale) -> SavingsRow {
     }
 }
 
-/// Regenerates Figure 9, sized to the machine.
-pub fn run(scale: Scale) -> ExperimentOutput {
-    run_with(&tmo::runner::FleetRunner::default(), scale)
-}
-
 /// Regenerates Figure 9 for all eight applications (nine bars — Ads A
 /// appears once; the paper's x-axis lists nine labels), one worker per
 /// application.

@@ -79,11 +79,6 @@ pub fn run_phase(label: &str, swap: SwapKind, senpai: bool, scale: Scale) -> Pha
     }
 }
 
-/// Runs all three phases, sized to the machine.
-pub fn simulate(scale: Scale) -> Vec<PhaseResult> {
-    simulate_with(&tmo::runner::FleetRunner::default(), scale)
-}
-
 /// Runs all three phases, one worker per phase.
 pub fn simulate_with(runner: &tmo::runner::FleetRunner, scale: Scale) -> Vec<PhaseResult> {
     let phases: [(&str, SwapKind, bool); 3] = [
@@ -102,11 +97,6 @@ pub fn simulate_with(runner: &tmo::runner::FleetRunner, scale: Scale) -> Vec<Pha
         let (label, swap, senpai) = phases[i].clone();
         run_phase(label, swap, senpai, scale)
     })
-}
-
-/// Regenerates Figure 11, sized to the machine.
-pub fn run(scale: Scale) -> ExperimentOutput {
-    run_with(&tmo::runner::FleetRunner::default(), scale)
 }
 
 /// Regenerates Figure 11 on the given runner.
@@ -153,7 +143,7 @@ mod tests {
 
     #[test]
     fn baseline_loses_rps_and_tmo_recovers_it() {
-        let phases = simulate(Scale::Quick);
+        let phases = simulate_with(&crate::FleetRunner::default(), Scale::Quick);
         let baseline = &phases[0];
         let ssd = &phases[1];
         let zswap = &phases[2];

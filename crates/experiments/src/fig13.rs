@@ -100,11 +100,6 @@ fn config_b(scale: Scale) -> SenpaiConfig {
     }
 }
 
-/// Runs baseline, Config A, and Config B tiers, sized to the machine.
-pub fn simulate(scale: Scale) -> Vec<ConfigResult> {
-    simulate_with(&tmo::runner::FleetRunner::default(), scale)
-}
-
 /// Runs baseline, Config A, and Config B tiers, one worker per tier.
 pub fn simulate_with(runner: &tmo::runner::FleetRunner, scale: Scale) -> Vec<ConfigResult> {
     let tiers: [(&str, Option<SenpaiConfig>); 3] = [
@@ -116,11 +111,6 @@ pub fn simulate_with(runner: &tmo::runner::FleetRunner, scale: Scale) -> Vec<Con
         let (label, config) = tiers[i].clone();
         run_tier(label, config, scale)
     })
-}
-
-/// Regenerates Figure 13, sized to the machine.
-pub fn run(scale: Scale) -> ExperimentOutput {
-    run_with(&tmo::runner::FleetRunner::default(), scale)
 }
 
 /// Regenerates Figure 13 on the given runner.
@@ -169,7 +159,7 @@ mod tests {
 
     #[test]
     fn config_b_saves_more_but_regresses() {
-        let tiers = simulate(Scale::Quick);
+        let tiers = simulate_with(&crate::FleetRunner::default(), Scale::Quick);
         let (baseline, a, b) = (&tiers[0], &tiers[1], &tiers[2]);
         // Both configs save memory relative to baseline.
         assert!(a.resident_mib < baseline.resident_mib * 0.98);

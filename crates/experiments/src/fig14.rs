@@ -102,8 +102,9 @@ pub fn run_host(seed: u64, scale: Scale) -> Vec<f64> {
 /// percentiles. Output is bit-identical for any worker count.
 pub fn simulate_with(runner: &FleetRunner, scale: Scale) -> Vec<DayRow> {
     let n = hosts(scale);
-    let per_host: Vec<Vec<f64>> =
-        runner.run_seeded(EXPERIMENT_SEED, n, |host| run_host(host.seed, scale));
+    let (per_host, _) = runner
+        .try_run(EXPERIMENT_SEED, n, |host, _| run_host(host.seed, scale))
+        .expect("fleet host simulation");
 
     (0..14)
         .map(|d| {
@@ -117,16 +118,6 @@ pub fn simulate_with(runner: &FleetRunner, scale: Scale) -> Vec<DayRow> {
             }
         })
         .collect()
-}
-
-/// Runs the cluster sized to the machine.
-pub fn simulate(scale: Scale) -> Vec<DayRow> {
-    simulate_with(&FleetRunner::default(), scale)
-}
-
-/// Regenerates Figure 14, sized to the machine.
-pub fn run(scale: Scale) -> ExperimentOutput {
-    run_with(&FleetRunner::default(), scale)
 }
 
 /// Regenerates Figure 14 on the given runner.
@@ -167,7 +158,7 @@ mod tests {
 
     #[test]
     fn regulation_clamps_the_write_rate() {
-        let rows = simulate(Scale::Quick);
+        let rows = simulate_with(&FleetRunner::default(), Scale::Quick);
         assert_eq!(rows.len(), 14);
         let unreg_p90: f64 = rows[2..7].iter().map(|r| r.p90).sum::<f64>() / 5.0;
         let reg_p90: f64 = rows[9..14].iter().map(|r| r.p90).sum::<f64>() / 5.0;

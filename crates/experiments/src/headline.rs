@@ -78,23 +78,13 @@ fn simulate_with_stats(
 ) -> (Vec<HostSavings>, FleetStats, FleetSummary) {
     let mix = fleet_mix();
     let (hosts, stats) = runner
-        .try_run_seeded(EXPERIMENT_SEED, mix.len(), |host| {
+        .try_run(EXPERIMENT_SEED, mix.len(), |host, _| {
             let (profile, zswap) = &mix[host.index];
             run_host(profile, *zswap, host.seed, scale)
         })
         .expect("fleet host simulation");
     let summary = summarize(&hosts);
     (hosts, stats, summary)
-}
-
-/// Runs the whole fleet and aggregates, sized to the machine.
-pub fn simulate(scale: Scale) -> (Vec<HostSavings>, FleetSummary) {
-    simulate_with(&FleetRunner::default(), scale)
-}
-
-/// Regenerates the headline table, sized to the machine.
-pub fn run(scale: Scale) -> ExperimentOutput {
-    run_with(&FleetRunner::default(), scale)
 }
 
 /// Regenerates the headline table on the given runner.

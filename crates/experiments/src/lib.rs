@@ -64,108 +64,300 @@ pub mod report;
 pub use report::{ExperimentOutput, Scale};
 pub use tmo::runner::{FleetError, FleetRunner, FleetStats, HostCtx};
 
-/// Runs one experiment by figure number, sized to the machine. Returns
-/// `None` for numbers the paper does not define.
-pub fn run_figure(figure: u32, scale: Scale) -> Option<ExperimentOutput> {
-    run_figure_with(&FleetRunner::default(), figure, scale)
+/// How an experiment is addressed on the `repro` command line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Key<'a> {
+    /// A paper figure, `--figure N`.
+    Figure(u32),
+    /// A named experiment, `--experiment NAME`.
+    Named(&'a str),
 }
 
-/// Runs one experiment by figure number on the given runner. Multi-host
-/// figures shard across the runner's workers; single-machine figures
-/// ignore it. Returns `None` for numbers the paper does not define
-/// (6 is the architecture diagram).
-pub fn run_figure_with(
-    runner: &FleetRunner,
-    figure: u32,
-    scale: Scale,
-) -> Option<ExperimentOutput> {
-    Some(match figure {
-        1 => fig01::run(),
-        2 => fig02::run_with(runner, scale),
-        3 => fig03::run(scale),
-        4 => fig04::run(scale),
-        5 => fig05::run(),
-        6 => fig06::run(scale),
-        7 => fig07::run(),
-        8 => fig08::run(scale),
-        9 => fig09::run_with(runner, scale),
-        10 => fig10::run(scale),
-        11 => fig11::run_with(runner, scale),
-        12 => fig12::run(scale),
-        13 => fig13::run_with(runner, scale),
-        14 => fig14::run_with(runner, scale),
-        _ => return None,
-    })
+/// Which bulk `repro` flag runs an experiment. Every suite except
+/// [`Suite::OnDemand`] also runs under `--all`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Suite {
+    /// The paper's figures (`--all`).
+    Figures,
+    /// The design-choice ablations (`--ablations`).
+    Ablations,
+    /// The future-work extensions and the headline rollup
+    /// (`--extensions`).
+    Extensions,
+    /// Only when named explicitly: `ext_paper_scale` is wall-clock
+    /// bound (it measures the harness itself, sweeping its own worker
+    /// counts).
+    OnDemand,
 }
 
-/// All reproducible figure numbers in order.
-pub const ALL_FIGURES: [u32; 14] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14];
+/// One reproducible experiment: a row of [`EXPERIMENTS`].
+#[derive(Debug, Clone, Copy)]
+pub struct Experiment {
+    /// Figure number or name.
+    pub key: Key<'static>,
+    /// One-line description, for `repro --list`.
+    pub description: &'static str,
+    /// The bulk flag that runs it.
+    pub suite: Suite,
+    /// Runs the experiment. Multi-host experiments shard across the
+    /// runner's workers; single-machine ones ignore it.
+    pub run: fn(&FleetRunner, Scale) -> ExperimentOutput,
+}
 
-/// The named (non-figure) experiments. All but `ext_paper_scale` run
-/// under `--extensions` / `--all`, in this order; `ext_paper_scale` is
-/// wall-clock-bound (it measures the harness itself, sweeping its own
-/// worker counts) and runs only when named explicitly with
-/// `--experiment ext_paper_scale`.
-pub const NAMED_EXPERIMENTS: [&str; 8] = [
-    "ablate",
-    "ext_tiered",
-    "ext_sweep",
-    "ext_chaos",
-    "ext_adversarial",
-    "ext_blame_validation",
-    "headline",
-    "ext_paper_scale",
+const fn figure(
+    number: u32,
+    description: &'static str,
+    run: fn(&FleetRunner, Scale) -> ExperimentOutput,
+) -> Experiment {
+    Experiment {
+        key: Key::Figure(number),
+        description,
+        suite: Suite::Figures,
+        run,
+    }
+}
+
+const fn named(
+    name: &'static str,
+    description: &'static str,
+    suite: Suite,
+    run: fn(&FleetRunner, Scale) -> ExperimentOutput,
+) -> Experiment {
+    Experiment {
+        key: Key::Named(name),
+        description,
+        suite,
+        run,
+    }
+}
+
+/// Every experiment, in the order `repro --all` runs them. Figure 6 is
+/// the architecture diagram, reproduced as a live walkthrough.
+pub const EXPERIMENTS: &[Experiment] = &[
+    figure(
+        1,
+        "hardware cost model across server generations",
+        |_, _| fig01::run(),
+    ),
+    figure(2, "application memory coldness CDF", fig02::run_with),
+    figure(3, "datacenter / microservice memory tax", |_, scale| {
+        fig03::run(scale)
+    }),
+    figure(
+        4,
+        "anonymous vs file-backed memory breakdown",
+        |_, scale| fig04::run(scale),
+    ),
+    figure(5, "fleet SSD latency/bandwidth characteristics", |_, _| {
+        fig05::run()
+    }),
+    figure(
+        6,
+        "architecture overview as a live walkthrough",
+        |_, scale| fig06::run(scale),
+    ),
+    figure(7, "PSI some/full pressure worked example", |_, _| {
+        fig07::run()
+    }),
+    figure(
+        8,
+        "Senpai pressure tracking and reclaim tuning",
+        |_, scale| fig08::run(scale),
+    ),
+    figure(9, "per-application memory savings", fig09::run_with),
+    figure(
+        10,
+        "memory-tax savings from offloading sidecars",
+        |_, scale| fig10::run(scale),
+    ),
+    figure(
+        11,
+        "Web on memory-bound hosts, three deployment phases",
+        fig11::run_with,
+    ),
+    figure(
+        12,
+        "PSI vs promotion rate on fast vs slow SSDs",
+        |_, scale| fig12::run(scale),
+    ),
+    figure(
+        13,
+        "Senpai config A vs config B RPS/savings tradeoff",
+        fig13::run_with,
+    ),
+    figure(
+        14,
+        "swap write regulation under endurance limits",
+        fig14::run_with,
+    ),
+    named(
+        "ablate",
+        "design-choice ablations (PSI flavors, policies, backends)",
+        Suite::Ablations,
+        ablate::run_with,
+    ),
+    named(
+        "ext_tiered",
+        "tiered zswap+SSD backend hierarchy extension",
+        Suite::Extensions,
+        ext_tiered::run_with,
+    ),
+    named(
+        "ext_sweep",
+        "Senpai tuning sweep: savings vs RPS frontier",
+        Suite::Extensions,
+        ext_sweep::run_with,
+    ),
+    named(
+        "ext_chaos",
+        "fault-injection degradation curves over chaos intensity",
+        Suite::Extensions,
+        ext_chaos::run_with,
+    ),
+    named(
+        "ext_adversarial",
+        "adversarial scenario replay: SLO scores, blame, A/B harness",
+        Suite::Extensions,
+        ext_adversarial::run_with,
+    ),
+    named(
+        "ext_blame_validation",
+        "blame ground truth: causal vs pro-rata attribution precision",
+        Suite::Extensions,
+        ext_blame_validation::run_with,
+    ),
+    named(
+        "headline",
+        "fleet-wide 20-32% savings headline rollup",
+        Suite::Extensions,
+        headline::run_with,
+    ),
+    named(
+        "ext_paper_scale",
+        "shard-chunked fleet-runner scaling laws (wall-clock bound)",
+        Suite::OnDemand,
+        // Sweeps its own worker counts; the CLI runner is unused.
+        |_, scale| ext_paper_scale::run(scale),
+    ),
 ];
 
-/// Runs one named experiment on the given runner. Returns `None` for
-/// names not in [`NAMED_EXPERIMENTS`].
-pub fn run_named_with(runner: &FleetRunner, name: &str, scale: Scale) -> Option<ExperimentOutput> {
-    Some(match name {
-        "ablate" => ablate::run_with(runner, scale),
-        "ext_tiered" => ext_tiered::run_with(runner, scale),
-        "ext_sweep" => ext_sweep::run_with(runner, scale),
-        "ext_chaos" => ext_chaos::run_with(runner, scale),
-        "ext_adversarial" => ext_adversarial::run_with(runner, scale),
-        "ext_blame_validation" => ext_blame_validation::run_with(runner, scale),
-        "headline" => headline::run_with(runner, scale),
-        // Sweeps its own worker counts; the CLI runner is unused.
-        "ext_paper_scale" => ext_paper_scale::run(scale),
-        _ => return None,
-    })
+/// The registry row for `key`, if any.
+pub fn find(key: Key<'_>) -> Option<&'static Experiment> {
+    EXPERIMENTS.iter().find(|e| e.key == key)
 }
 
-/// One-line description of a figure experiment, for `repro --list`.
-pub fn figure_description(figure: u32) -> Option<&'static str> {
-    Some(match figure {
-        1 => "hardware cost model across server generations",
-        2 => "application memory coldness CDF",
-        3 => "datacenter / microservice memory tax",
-        4 => "anonymous vs file-backed memory breakdown",
-        5 => "fleet SSD latency/bandwidth characteristics",
-        6 => "architecture overview as a live walkthrough",
-        7 => "PSI some/full pressure worked example",
-        8 => "Senpai pressure tracking and reclaim tuning",
-        9 => "per-application memory savings",
-        10 => "memory-tax savings from offloading sidecars",
-        11 => "Web on memory-bound hosts, three deployment phases",
-        12 => "PSI vs promotion rate on fast vs slow SSDs",
-        13 => "Senpai config A vs config B RPS/savings tradeoff",
-        14 => "swap write regulation under endurance limits",
-        _ => return None,
-    })
+/// Resolves `repro`'s selection flags to registry rows, in run order:
+/// the figures (every figure under `all`, else `figures` as given), then
+/// `names`, then the ablations (`all` or `ablations`), then the
+/// extensions (`all` or `extensions`). Fails on the first figure number
+/// or name the registry does not know.
+pub fn select(
+    figures: &[u32],
+    names: &[String],
+    all: bool,
+    ablations: bool,
+    extensions: bool,
+) -> Result<Vec<&'static Experiment>, String> {
+    let suite = |suite: Suite| EXPERIMENTS.iter().filter(move |e| e.suite == suite);
+    let mut selected: Vec<&'static Experiment> = Vec::new();
+    if all {
+        selected.extend(suite(Suite::Figures));
+    } else {
+        for &number in figures {
+            selected.push(
+                find(Key::Figure(number))
+                    .ok_or_else(|| format!("figure {number} is not part of the paper"))?,
+            );
+        }
+    }
+    for name in names {
+        selected.push(find(Key::Named(name)).ok_or_else(|| {
+            let known: Vec<&str> = EXPERIMENTS
+                .iter()
+                .filter_map(|e| match e.key {
+                    Key::Named(name) => Some(name),
+                    Key::Figure(_) => None,
+                })
+                .collect();
+            format!("unknown experiment {name}; known: {}", known.join(", "))
+        })?);
+    }
+    if all || ablations {
+        selected.extend(suite(Suite::Ablations));
+    }
+    if all || extensions {
+        selected.extend(suite(Suite::Extensions));
+    }
+    Ok(selected)
 }
 
-/// One-line description of a named experiment, for `repro --list`.
-pub fn experiment_description(name: &str) -> Option<&'static str> {
-    Some(match name {
-        "ablate" => "design-choice ablations (PSI flavors, policies, backends)",
-        "ext_tiered" => "tiered zswap+SSD backend hierarchy extension",
-        "ext_sweep" => "Senpai tuning sweep: savings vs RPS frontier",
-        "ext_chaos" => "fault-injection degradation curves over chaos intensity",
-        "ext_adversarial" => "adversarial scenario replay: SLO scores, blame, A/B harness",
-        "ext_blame_validation" => "blame ground truth: causal vs pro-rata attribution precision",
-        "headline" => "fleet-wide 20-32% savings headline rollup",
-        "ext_paper_scale" => "shard-chunked fleet-runner scaling laws (wall-clock bound)",
-        _ => return None,
-    })
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn keys(rows: &[&Experiment]) -> Vec<Key<'static>> {
+        rows.iter().map(|e| e.key).collect()
+    }
+
+    #[test]
+    fn all_runs_every_row_but_ext_paper_scale() {
+        let all = select(&[], &[], true, false, false).expect("flags resolve");
+        let expected: Vec<Key<'static>> = EXPERIMENTS
+            .iter()
+            .map(|e| e.key)
+            .filter(|&k| k != Key::Named("ext_paper_scale"))
+            .collect();
+        assert_eq!(keys(&all), expected);
+        assert!(keys(&all).contains(&Key::Named("ext_blame_validation")));
+    }
+
+    #[test]
+    fn bulk_flags_partition_the_all_selection() {
+        let ablations = select(&[], &[], false, true, false).expect("flags resolve");
+        assert_eq!(keys(&ablations), [Key::Named("ablate")]);
+        let extensions = select(&[], &[], false, false, true).expect("flags resolve");
+        assert!(extensions.iter().all(|e| e.suite == Suite::Extensions));
+        let figures = EXPERIMENTS
+            .iter()
+            .filter(|e| e.suite == Suite::Figures)
+            .count();
+        let all = select(&[], &[], true, false, false).expect("flags resolve");
+        assert_eq!(all.len(), figures + ablations.len() + extensions.len());
+    }
+
+    #[test]
+    fn keys_are_unique_and_figures_are_numbered_in_order() {
+        for (i, a) in EXPERIMENTS.iter().enumerate() {
+            assert!(
+                EXPERIMENTS[i + 1..].iter().all(|b| b.key != a.key),
+                "duplicate key {:?}",
+                a.key
+            );
+        }
+        let numbers: Vec<u32> = EXPERIMENTS
+            .iter()
+            .filter_map(|e| match e.key {
+                Key::Figure(n) => Some(n),
+                Key::Named(_) => None,
+            })
+            .collect();
+        assert_eq!(numbers, (1..=14).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn explicit_selection_resolves_in_flag_order_and_rejects_unknowns() {
+        let names = ["ext_paper_scale".to_string()];
+        let picked = select(&[9, 2], &names, false, false, false).expect("known keys");
+        assert_eq!(
+            keys(&picked),
+            [
+                Key::Figure(9),
+                Key::Figure(2),
+                Key::Named("ext_paper_scale")
+            ]
+        );
+        assert!(select(&[15], &[], false, false, false).is_err());
+        let err = select(&[], &["nope".to_string()], false, false, false).unwrap_err();
+        assert!(err.contains("ext_blame_validation"), "{err}");
+    }
 }

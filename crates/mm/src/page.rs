@@ -83,7 +83,7 @@ pub enum PageState {
 /// One simulated page, as seen through [`crate::MemoryManager::page`].
 ///
 /// This is a by-value *view* decoded from the manager's packed
-/// [`PageMeta`] slab; mutating it has no effect on the manager.
+/// `PageMeta` slab; mutating it has no effect on the manager.
 #[derive(Debug, Clone)]
 pub struct Page {
     pub(crate) kind: PageKind,

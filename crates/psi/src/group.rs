@@ -350,38 +350,6 @@ impl PsiGroup {
         self.sweep = sweep;
     }
 
-    /// Convenience for rate-model callers: ingests a window where each
-    /// non-idle task's stall time on each resource is known only as a
-    /// total duration, not as explicit intervals. Each task's stall time
-    /// is laid out as a single interval anchored at the window start.
-    ///
-    /// This is conservative for `full` (stalls overlap maximally) and
-    /// exact for single-task domains. `stalls_per_task[i][r]` is task
-    /// `i`'s stall time on `Resource::ALL[r]`. Allocation-free: the
-    /// spans go straight into the group's sweep scratch.
-    pub fn observe_totals(&mut self, window: SimDuration, stalls_per_task: &[[SimDuration; 3]]) {
-        if window.is_zero() {
-            return;
-        }
-        self.fired.clear();
-        self.wall_total += window;
-        let window_ns = window.as_nanos();
-        let k = stalls_per_task.len();
-        let mut sweep = std::mem::take(&mut self.sweep);
-        for resource in Resource::ALL {
-            sweep.clear();
-            for stalls in stalls_per_task {
-                let d = stalls[resource.index()];
-                if !d.is_zero() {
-                    sweep.push_span(0, d.as_nanos(), window_ns);
-                }
-            }
-            let (some_ns, full_ns) = sweep.measure(k);
-            self.apply_window(resource, window, window_ns, some_ns, full_ns);
-        }
-        self.sweep = sweep;
-    }
-
     /// Folds one resource's window measures into totals, averages, last
     /// ratios, and registered triggers — shared by every observe form.
     fn apply_window(
@@ -568,30 +536,6 @@ mod tests {
         }
         let some10 = psi.some_avg10(Resource::Memory);
         assert!((some10 - 0.1).abs() < 0.01, "avg10 {some10}");
-    }
-
-    #[test]
-    fn observe_totals_matches_interval_form_for_single_task() {
-        let mut a = PsiGroup::new(1);
-        let mut b = PsiGroup::new(1);
-        a.observe_totals(
-            secs(1),
-            &[[
-                SimDuration::ZERO,
-                SimDuration::from_millis(300),
-                SimDuration::ZERO,
-            ]],
-        );
-        let mut t = TaskObservation::non_idle();
-        t.stall(
-            Resource::Memory,
-            IntervalSet::from_spans(&[(0, 300_000_000)]),
-        );
-        b.observe(secs(1), &[t]);
-        assert_eq!(
-            a.snapshot(Resource::Memory).some_total,
-            b.snapshot(Resource::Memory).some_total
-        );
     }
 
     #[test]

@@ -194,60 +194,4 @@ proptest! {
         }
     }
 
-    #[test]
-    fn observe_totals_is_bit_identical_to_anchored_intervals(
-        windows in prop::collection::vec(
-            prop::collection::vec(
-                (0u64..2 * WINDOW_NS, 0u64..2 * WINDOW_NS, 0u64..2 * WINDOW_NS)
-                    .prop_map(|(m, i, c)| [m, i, c]),
-                0..5,
-            ),
-            1..4,
-        )
-    ) {
-        // `observe_totals` lays each task's stall total out as a single
-        // window-anchored span; it must match hand-building the same
-        // spans as TaskObservations (the pre-batch formulation).
-        let window = SimDuration::from_nanos(WINDOW_NS);
-        let mut totals_form = PsiGroup::new(4);
-        let mut interval_form = PsiGroup::new(4);
-        add_triggers(&mut totals_form);
-        add_triggers(&mut interval_form);
-
-        for tasks in &windows {
-            let stalls: Vec<[SimDuration; 3]> = tasks
-                .iter()
-                .map(|ns| {
-                    [
-                        SimDuration::from_nanos(ns[0]),
-                        SimDuration::from_nanos(ns[1]),
-                        SimDuration::from_nanos(ns[2]),
-                    ]
-                })
-                .collect();
-            totals_form.observe_totals(window, &stalls);
-
-            let observations: Vec<TaskObservation> = stalls
-                .iter()
-                .map(|per_task| {
-                    let mut o = TaskObservation::non_idle();
-                    for (r, d) in Resource::ALL.iter().zip(per_task.iter()) {
-                        if !d.is_zero() {
-                            o.stall(
-                                *r,
-                                IntervalSet::from_spans(&[(0, d.as_nanos().min(WINDOW_NS))]),
-                            );
-                        }
-                    }
-                    o
-                })
-                .collect();
-            interval_form.observe(window, &observations);
-
-            prop_assert_eq!(totals_form.fired_triggers(), interval_form.fired_triggers());
-            for r in Resource::ALL {
-                prop_assert_eq!(totals_form.snapshot(r), interval_form.snapshot(r));
-            }
-        }
-    }
 }

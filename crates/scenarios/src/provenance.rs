@@ -8,7 +8,7 @@
 //! when this page was pushed out?), and every refault or direct-reclaim
 //! stall is charged to the cgroup that actually triggered the eviction
 //! — at the reclaim decision point, not post-hoc from resident-growth
-//! series. [`run_scenario`](crate::run::run_scenario) drains those
+//! series. [`run_scenario`] drains those
 //! charges each tick into a [`CausalLedger`].
 //!
 //! The second half of the module is the validation harness the ledger

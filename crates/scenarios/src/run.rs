@@ -46,13 +46,8 @@ pub struct ScenarioOutcome {
 }
 
 impl ScenarioOutcome {
-    /// The headline cross-container blame edge, if any stall was
-    /// charged across a container boundary.
-    pub fn top_blame(&self) -> Option<BlameAttribution> {
-        self.blame.top_edge()
-    }
-
-    /// The headline cross-container edge of the *causal* ledger.
+    /// The headline cross-container edge of the *causal* ledger, if any
+    /// stall was charged across a container boundary.
     pub fn top_causal_blame(&self) -> Option<BlameAttribution> {
         self.causal.top_edge()
     }

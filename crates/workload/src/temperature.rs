@@ -109,21 +109,14 @@ impl AccessPlanner {
     /// Number of page touches per class for a tick of length `dt`
     /// (Poisson-sampled around the class rate).
     pub fn plan(&self, dt: SimDuration, rng: &mut DetRng) -> Vec<u64> {
-        self.classes
-            .iter()
-            .zip(&self.pages_per_class)
-            .map(|(class, &pages)| {
-                let mean = pages as f64 * dt.as_secs_f64() / class.reaccess.as_secs_f64();
-                rng.poisson(mean)
-            })
-            .collect()
+        let mut out = Vec::new();
+        self.plan_into(dt, rng, &mut out);
+        out
     }
 
     /// Buffer-reusing form of [`AccessPlanner::plan`]: clears `out` and
     /// fills it with this tick's per-class touch counts. Draws exactly
-    /// one `rng.poisson` per class, in class order — the same stream
-    /// consumption as `plan` — so a simulation can switch between the
-    /// two forms without perturbing any downstream draw.
+    /// one `rng.poisson` per class, in class order.
     pub fn plan_into(&self, dt: SimDuration, rng: &mut DetRng, out: &mut Vec<u64>) {
         out.clear();
         out.reserve(self.classes.len());

@@ -100,6 +100,11 @@ else
     echo "==> cargo clippy not installed; skipping"
 fi
 
+echo "==> cargo doc: rustdoc warnings are errors"
+# Intra-doc links must name real items: a renamed or deleted API takes
+# its doc links down with it instead of leaving them to rot.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+
 if cargo fmt --version >/dev/null 2>&1; then
     echo "==> cargo fmt --check"
     cargo fmt --check

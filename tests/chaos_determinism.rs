@@ -39,39 +39,40 @@ fn run_chaos_fleet(
     // the jobs=4 comparisons exercise the multi-worker merge path
     // instead of clamping down to the inline sequential one.
     let runner = FleetRunner::exact(jobs);
-    let (outcomes, _) = runner.run_collect_seeded(experiment_seed, FLEET_HOSTS, |host| {
-        let server = ByteSize::from_mib(128);
-        let swap = if host.index % 2 == 0 {
-            SwapKind::Tiered {
-                zswap_fraction: 0.1,
-                allocator: ZswapAllocator::Zsmalloc,
-                ssd: SsdModel::C,
-                demote_after: SimDuration::from_secs(20),
-                min_compress_ratio: 2.0,
+    let (outcomes, _) =
+        runner.run_collect_seeded_sharded(experiment_seed, FLEET_HOSTS, |host, _| {
+            let server = ByteSize::from_mib(128);
+            let swap = if host.index % 2 == 0 {
+                SwapKind::Tiered {
+                    zswap_fraction: 0.1,
+                    allocator: ZswapAllocator::Zsmalloc,
+                    ssd: SsdModel::C,
+                    demote_after: SimDuration::from_secs(20),
+                    min_compress_ratio: 2.0,
+                }
+            } else {
+                SwapKind::Ssd(SsdModel::C)
+            };
+            let mut machine = Machine::new(MachineConfig {
+                dram: server,
+                swap,
+                seed: host.seed,
+                faults: Some(faults),
+                ..MachineConfig::default()
+            });
+            machine.add_container(&tmo_workload::apps::feed().with_mem_total(server.mul_f64(0.5)));
+            let mut rt = TmoRuntime::with_senpai(machine, SenpaiConfig::accelerated(40.0));
+            rt.run(SimDuration::from_mins(2));
+            let m = rt.machine();
+            let stats = m.mm().swap_stats().unwrap_or_default();
+            HostDigest {
+                savings_bits: m.savings_fraction(ContainerId(0)).to_bits(),
+                lost_loads: m.mm().global_stat().lost_loads,
+                failovers: stats.failovers,
+                faults_injected: stats.faults_injected,
+                sim_secs_bits: m.now().as_secs_f64().to_bits(),
             }
-        } else {
-            SwapKind::Ssd(SsdModel::C)
-        };
-        let mut machine = Machine::new(MachineConfig {
-            dram: server,
-            swap,
-            seed: host.seed,
-            faults: Some(faults),
-            ..MachineConfig::default()
         });
-        machine.add_container(&tmo_workload::apps::feed().with_mem_total(server.mul_f64(0.5)));
-        let mut rt = TmoRuntime::with_senpai(machine, SenpaiConfig::accelerated(40.0));
-        rt.run(SimDuration::from_mins(2));
-        let m = rt.machine();
-        let stats = m.mm().swap_stats().unwrap_or_default();
-        HostDigest {
-            savings_bits: m.savings_fraction(ContainerId(0)).to_bits(),
-            lost_loads: m.mm().global_stat().lost_loads,
-            failovers: stats.failovers,
-            faults_injected: stats.faults_injected,
-            sim_secs_bits: m.now().as_secs_f64().to_bits(),
-        }
-    });
     outcomes
         .into_iter()
         .map(|o| match o {

@@ -18,32 +18,34 @@ const FLEET_HOSTS: usize = 6;
 /// one test binary: per-host workload and backend vary with the index.
 fn run_fleet(jobs: usize, experiment_seed: u64) -> (Vec<HostSavings>, FleetSummary) {
     let runner = FleetRunner::new(jobs);
-    let hosts = runner.run_seeded(experiment_seed, FLEET_HOSTS, |host| {
-        let server = ByteSize::from_mib(128);
-        let swap = if host.index % 2 == 0 {
-            SwapKind::Zswap {
-                capacity_fraction: 0.3,
-                allocator: ZswapAllocator::Zsmalloc,
-            }
-        } else {
-            SwapKind::Ssd(SsdModel::C)
-        };
-        let mut machine = Machine::new(MachineConfig {
-            dram: server,
-            swap,
-            seed: host.seed,
-            ..MachineConfig::default()
-        });
-        let profile = if host.index < 3 {
-            tmo_workload::apps::feed()
-        } else {
-            tmo_workload::apps::cache_a()
-        };
-        machine.add_container(&profile.with_mem_total(server.mul_f64(0.5)));
-        let mut rt = TmoRuntime::with_senpai(machine, SenpaiConfig::accelerated(40.0));
-        rt.run(SimDuration::from_mins(2));
-        host_savings(rt.machine())
-    });
+    let (hosts, _) = runner
+        .try_run(experiment_seed, FLEET_HOSTS, |host, _| {
+            let server = ByteSize::from_mib(128);
+            let swap = if host.index % 2 == 0 {
+                SwapKind::Zswap {
+                    capacity_fraction: 0.3,
+                    allocator: ZswapAllocator::Zsmalloc,
+                }
+            } else {
+                SwapKind::Ssd(SsdModel::C)
+            };
+            let mut machine = Machine::new(MachineConfig {
+                dram: server,
+                swap,
+                seed: host.seed,
+                ..MachineConfig::default()
+            });
+            let profile = if host.index < 3 {
+                tmo_workload::apps::feed()
+            } else {
+                tmo_workload::apps::cache_a()
+            };
+            machine.add_container(&profile.with_mem_total(server.mul_f64(0.5)));
+            let mut rt = TmoRuntime::with_senpai(machine, SenpaiConfig::accelerated(40.0));
+            rt.run(SimDuration::from_mins(2));
+            host_savings(rt.machine())
+        })
+        .expect("fault-free fleet");
     let summary = summarize(&hosts);
     (hosts, summary)
 }
@@ -110,7 +112,7 @@ fn thousand_host_fleet_is_bit_identical_across_jobs() {
     const SWEEP_SEED: u64 = 7100;
     let run = |jobs: usize| {
         let (hosts, stats) = FleetRunner::exact(jobs)
-            .try_run_seeded_sharded(
+            .try_run(
                 SWEEP_SEED,
                 SWEEP_HOSTS,
                 tmo_experiments::ext_paper_scale::run_host,
