@@ -71,12 +71,7 @@ fn extension_tiered(c: &mut Criterion) {
     group.measurement_time(Duration::from_secs(3));
     group.bench_function("tiered_hierarchy_mixed_host", |b| {
         let runner = tmo_experiments::FleetRunner::default();
-        b.iter(|| {
-            black_box(tmo_experiments::ext_tiered::simulate_with(
-                &runner,
-                Scale::Quick,
-            ))
-        })
+        b.iter(|| black_box(tmo_experiments::ext_tiered::simulate(&runner, Scale::Quick)))
     });
     group.finish();
 }

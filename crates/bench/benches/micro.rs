@@ -84,10 +84,9 @@ fn mm_paths(c: &mut Criterion) {
         let alloc = mm
             .alloc_pages(cg, PageKind::Anon, 4096, SimTime::ZERO)
             .expect("fits");
-        let mut out = Vec::new();
+        let mut swap_latencies = Vec::new();
         b.iter(|| {
-            mm.access_batch_into(&alloc.pages, SimTime::from_secs(1), &mut out);
-            black_box(out.len())
+            black_box(mm.access_batch(&alloc.pages, SimTime::from_secs(1), &mut swap_latencies))
         })
     });
     group.bench_function("reclaim_256_pages", |b| {

@@ -1,11 +1,10 @@
 //! Parser and validator for the `tmo-bench-v1` JSON reports the
 //! criterion shim writes (`BENCH_micro.json` / `BENCH_figures.json`).
 //!
-//! The format is fixed-shape, so this is a cursor parser in the style
-//! of `tmo_workload::AccessTrace`'s trace parser rather than a general
-//! JSON reader: object keys must appear in the exact order the shim
-//! emits them, which doubles as the schema test's "deterministic key
-//! order" check.
+//! The format is fixed-shape, so this is a small cursor parser rather
+//! than a general JSON reader: object keys must appear in the exact
+//! order the shim emits them, which doubles as the schema test's
+//! "deterministic key order" check.
 
 /// One benchmark's row in a report.
 #[derive(Debug, Clone, PartialEq)]

@@ -2,7 +2,8 @@
 
 use tmo_backends::{NvmDevice, OffloadBackend, SsdModel, ZswapAllocator, ZswapPool};
 use tmo_faults::{FaultConfig, FaultPlan, FaultyBackend, HostFaults, SignalFate};
-use tmo_mm::{MemoryManager, MmConfig, PageKind, ReclaimOutcome, ReclaimPolicy};
+use tmo_mm::manager::AllocError;
+use tmo_mm::{CgroupId, MemoryManager, MmConfig, PageId, PageKind, ReclaimOutcome, ReclaimPolicy};
 use tmo_psi::{PsiGroup, Resource, SpanBatch};
 use tmo_senpai::{ContainerSignal, OomdSignal};
 use tmo_sim::{ByteSize, Clock, DetRng, Recorder, SeriesId, SimDuration, SimTime};
@@ -119,6 +120,10 @@ impl WorkingsetProfile {
         self.p95_mib * (1.0 + headroom.max(0.0))
     }
 }
+
+/// A failed footprint allocation: the temperature class and page kind
+/// that did not fit, and why.
+type FootprintError = (usize, PageKind, AllocError);
 
 /// Reusable allocation scratch for one [`Machine`]'s hot tick path.
 ///
@@ -491,49 +496,26 @@ impl Machine {
             0
         };
 
-        // Allocate each temperature class's pages, splitting anon/file
-        // by the profile fraction. Under lazy growth only the preload
-        // share of anon is allocated now.
+        // Under lazy growth only the preload share of anon is allocated
+        // now.
         let anon_budget_now = if cfg.anon_growth.is_some() {
             preload_anon
         } else {
             u64::MAX
         };
-        let mut anon_allocated = 0u64;
-        let now = self.clock.now();
-        let mut class_pages: Vec<Vec<tmo_mm::PageId>> = Vec::new();
-        for (ci, &n) in planner.pages_per_class().iter().enumerate() {
-            let want_anon = (n as f64 * profile.anon_fraction).round() as u64;
-            let anon_now = want_anon.min(anon_budget_now.saturating_sub(anon_allocated));
-            let file_now = n - want_anon;
-            let mut pages = Vec::with_capacity((anon_now + file_now) as usize);
-            if anon_now > 0 {
-                let out = self
-                    .mm
-                    .alloc_pages(cg, PageKind::Anon, anon_now, now)
-                    .unwrap_or_else(|e| {
-                        panic!(
-                            "initial anon allocation failed for {} class {ci}: {e}",
-                            profile.name
-                        )
-                    });
-                pages.extend(out.pages);
-                anon_allocated += anon_now;
-            }
-            if file_now > 0 {
-                let out = self
-                    .mm
-                    .alloc_pages(cg, PageKind::File, file_now, now)
-                    .unwrap_or_else(|e| {
-                        panic!(
-                            "initial file allocation failed for {} class {ci}: {e}",
-                            profile.name
-                        )
-                    });
-                pages.extend(out.pages);
-            }
-            class_pages.push(pages);
-        }
+        let (class_pages, anon_allocated) = self
+            .alloc_footprint(
+                cg,
+                planner.pages_per_class(),
+                profile.anon_fraction,
+                anon_budget_now,
+            )
+            .unwrap_or_else(|(ci, kind, e)| {
+                panic!(
+                    "initial {kind} allocation failed for {} class {ci}: {e}",
+                    profile.name
+                )
+            });
 
         let growth_remaining = growth_total_anon.saturating_sub(anon_allocated);
         let growth_pages_per_sec = cfg
@@ -656,11 +638,7 @@ impl Machine {
             }
             if n > 0 {
                 if let Some(victim) = hf.crash_victim(tick, dt, n) {
-                    let id = ContainerId(victim as usize);
-                    if self.containers[id.0].alive {
-                        self.kill_container(id);
-                        self.restart_container(id);
-                    }
+                    self.kill_and_restart(ContainerId(victim as usize));
                 }
             }
         }
@@ -672,10 +650,90 @@ impl Machine {
             .as_ref()
             .and_then(|m| m.storm_kill_victim(tick, now, dt, n));
         if let Some(victim) = storm {
-            let id = ContainerId((victim % n) as usize);
-            if self.containers[id.0].alive {
-                self.kill_container(id);
-                self.restart_container(id);
+            self.kill_and_restart(ContainerId((victim % n) as usize));
+        }
+    }
+
+    /// Kills a live container and immediately restarts it (crash churn,
+    /// storm kills); a dead container is left alone.
+    fn kill_and_restart(&mut self, id: ContainerId) {
+        if self.containers[id.0].alive {
+            self.kill_container(id);
+            self.restart_container(id);
+        }
+    }
+
+    /// Allocates a container's footprint in `cg`: each temperature
+    /// class's pages, split anon/file by `anon_fraction`, with at most
+    /// `anon_budget` anon pages across all classes. Returns the pages per
+    /// class and the anon pages allocated. On failure every page
+    /// allocated so far is freed and the error names the class, the
+    /// page kind and the cause.
+    fn alloc_footprint(
+        &mut self,
+        cg: CgroupId,
+        per_class: &[u64],
+        anon_fraction: f64,
+        anon_budget: u64,
+    ) -> Result<(Vec<Vec<PageId>>, u64), FootprintError> {
+        let now = self.clock.now();
+        let mut anon_allocated = 0u64;
+        let mut class_pages: Vec<Vec<PageId>> = Vec::with_capacity(per_class.len());
+        for (ci, &n) in per_class.iter().enumerate() {
+            let want_anon = (n as f64 * anon_fraction).round() as u64;
+            let anon_now = want_anon.min(anon_budget.saturating_sub(anon_allocated));
+            let file_now = n - want_anon;
+            let mut pages = Vec::with_capacity((anon_now + file_now) as usize);
+            for (kind, count) in [(PageKind::Anon, anon_now), (PageKind::File, file_now)] {
+                if count == 0 {
+                    continue;
+                }
+                match self.mm.alloc_pages(cg, kind, count, now) {
+                    Ok(out) => pages.extend(out.pages),
+                    Err(e) => {
+                        class_pages.push(pages);
+                        let allocated: Vec<PageId> = class_pages.into_iter().flatten().collect();
+                        self.mm.free_pages_of(&allocated);
+                        return Err((ci, kind, e));
+                    }
+                }
+            }
+            anon_allocated += anon_now;
+            class_pages.push(pages);
+        }
+        Ok((class_pages, anon_allocated))
+    }
+
+    /// Allocates one tick of a paced page stream (lazy growth, file
+    /// churn, scenario leak): ⌊`want`⌋ pages, where `want` is rate × tick
+    /// plus the fractional carry from earlier ticks, capped at `cap`.
+    /// The reclaim stall is charged to `stats` as memory stall; a failed
+    /// allocation sets `stats.alloc_failed`. Returns the next tick's
+    /// carry — always `want − ⌊want⌋`, even when `cap` bites — and the
+    /// pages allocated (none when nothing was due or allocation failed).
+    fn alloc_paced(
+        &mut self,
+        cg: CgroupId,
+        kind: PageKind,
+        want: f64,
+        cap: u64,
+        now: SimTime,
+        stats: &mut TickStats,
+    ) -> (f64, Vec<PageId>) {
+        let carry = want - (want as u64) as f64;
+        let n = (want as u64).min(cap);
+        if n == 0 {
+            return (carry, Vec::new());
+        }
+        match self.mm.alloc_pages(cg, kind, n, now) {
+            Ok(out) => {
+                stats.mem_stall += out.reclaim_stall;
+                stats.stall += out.reclaim_stall;
+                (carry, out.pages)
+            }
+            Err(_) => {
+                stats.alloc_failed = true;
+                (carry, Vec::new())
             }
         }
     }
@@ -697,29 +755,23 @@ impl Machine {
 
         // 1. Lazy anonymous growth.
         if self.containers[ci].growth_remaining_pages > 0 {
-            let want = self.containers[ci].growth_pages_per_sec * dt.as_secs_f64()
-                + self.containers[ci].growth_carry;
-            let n = (want as u64).min(self.containers[ci].growth_remaining_pages);
-            self.containers[ci].growth_carry = want - (want as u64) as f64;
-            if n > 0 {
-                match self.mm.alloc_pages(cg, PageKind::Anon, n, now) {
-                    Ok(out) => {
-                        stats.mem_stall += out.reclaim_stall;
-                        stats.stall += out.reclaim_stall;
-                        self.containers[ci].growth_remaining_pages -= n;
-                        // Distribute new pages across classes by weight.
-                        let fractions: Vec<f64> = self.containers[ci]
-                            .planner
-                            .classes()
-                            .iter()
-                            .map(|c| c.fraction)
-                            .collect();
-                        for page in out.pages {
-                            let class = self.rng.weighted_index(&fractions).unwrap_or(0);
-                            self.containers[ci].class_pages[class].push(page);
-                        }
-                    }
-                    Err(_) => stats.alloc_failed = true,
+            let c = &self.containers[ci];
+            let want = c.growth_pages_per_sec * dt.as_secs_f64() + c.growth_carry;
+            let cap = c.growth_remaining_pages;
+            let (carry, pages) = self.alloc_paced(cg, PageKind::Anon, want, cap, now, &mut stats);
+            self.containers[ci].growth_carry = carry;
+            if !pages.is_empty() {
+                self.containers[ci].growth_remaining_pages -= pages.len() as u64;
+                // Distribute new pages across classes by weight.
+                let fractions: Vec<f64> = self.containers[ci]
+                    .planner
+                    .classes()
+                    .iter()
+                    .map(|c| c.fraction)
+                    .collect();
+                for page in pages {
+                    let class = self.rng.weighted_index(&fractions).unwrap_or(0);
+                    self.containers[ci].class_pages[class].push(page);
                 }
             }
         }
@@ -739,18 +791,10 @@ impl Machine {
             };
         if churn_pages_per_sec > 0.0 || !self.containers[ci].churn_pages.is_empty() {
             let want = churn_pages_per_sec * dt.as_secs_f64() + self.containers[ci].churn_carry;
-            let n = want as u64;
-            self.containers[ci].churn_carry = want - n as f64;
-            if n > 0 {
-                match self.mm.alloc_pages(cg, PageKind::File, n, now) {
-                    Ok(out) => {
-                        stats.mem_stall += out.reclaim_stall;
-                        stats.stall += out.reclaim_stall;
-                        self.containers[ci].churn_pages.extend(out.pages);
-                    }
-                    Err(_) => stats.alloc_failed = true,
-                }
-            }
+            let (carry, pages) =
+                self.alloc_paced(cg, PageKind::File, want, u64::MAX, now, &mut stats);
+            self.containers[ci].churn_carry = carry;
+            self.containers[ci].churn_pages.extend(pages);
             // Collect evicted churn pages.
             let mm = &self.mm;
             let (live, dead): (Vec<_>, Vec<_>) = self.containers[ci]
@@ -773,18 +817,10 @@ impl Machine {
         };
         if leak_pages_per_sec > 0.0 {
             let want = leak_pages_per_sec * dt.as_secs_f64() + self.containers[ci].leak_carry;
-            let n = want as u64;
-            self.containers[ci].leak_carry = want - n as f64;
-            if n > 0 {
-                match self.mm.alloc_pages(cg, PageKind::Anon, n, now) {
-                    Ok(out) => {
-                        stats.mem_stall += out.reclaim_stall;
-                        stats.stall += out.reclaim_stall;
-                        self.containers[ci].leak_pages.extend(out.pages);
-                    }
-                    Err(_) => stats.alloc_failed = true,
-                }
-            }
+            let (carry, pages) =
+                self.alloc_paced(cg, PageKind::Anon, want, u64::MAX, now, &mut stats);
+            self.containers[ci].leak_carry = carry;
+            self.containers[ci].leak_pages.extend(pages);
         }
 
         // 2. Access stream. Web containers touch memory in proportion
@@ -837,7 +873,7 @@ impl Machine {
                 &mut ids,
             );
             let first_lat = swap_latencies.len();
-            let batch = self.mm.access_batch_stats(&ids, now, swap_latencies);
+            let batch = self.mm.access_batch(&ids, now, swap_latencies);
             // Swap-in latencies feed the streaming estimators in the
             // same occurrence order as the former per-outcome loop.
             for &secs in &swap_latencies[first_lat..] {
@@ -1262,39 +1298,15 @@ impl Machine {
         let cg = self.containers[id.0].cg;
         let anon_fraction = self.containers[id.0].profile.anon_fraction;
         let per_class: Vec<u64> = self.containers[id.0].planner.pages_per_class().to_vec();
-        let now = self.clock.now();
         // The restart's footprint re-allocation is this container's
         // demand; any reclaim it forces is attributed to it.
         self.mm.set_reclaim_trigger(Some(cg));
-        let mut class_pages: Vec<Vec<tmo_mm::PageId>> = Vec::new();
-        for &n in &per_class {
-            let want_anon = (n as f64 * anon_fraction).round() as u64;
-            let file_now = n - want_anon;
-            let mut pages = Vec::with_capacity(n as usize);
-            let mut failed = false;
-            if want_anon > 0 {
-                match self.mm.alloc_pages(cg, PageKind::Anon, want_anon, now) {
-                    Ok(out) => pages.extend(out.pages),
-                    Err(_) => failed = true,
-                }
-            }
-            if !failed && file_now > 0 {
-                match self.mm.alloc_pages(cg, PageKind::File, file_now, now) {
-                    Ok(out) => pages.extend(out.pages),
-                    Err(_) => failed = true,
-                }
-            }
-            if failed {
-                let mut allocated: Vec<tmo_mm::PageId> =
-                    class_pages.iter().flatten().copied().collect();
-                allocated.extend(pages);
-                self.mm.free_pages_of(&allocated);
-                self.mm.set_reclaim_trigger(None);
-                return false;
-            }
-            class_pages.push(pages);
-        }
+        let footprint = self.alloc_footprint(cg, &per_class, anon_fraction, u64::MAX);
         self.mm.set_reclaim_trigger(None);
+        let Ok((class_pages, _)) = footprint else {
+            return false;
+        };
+        let now = self.clock.now();
         let c = &mut self.containers[id.0];
         c.class_pages = class_pages;
         c.alive = true;
@@ -1650,6 +1662,28 @@ mod tests {
         // Ticking a machine with a dead container is harmless.
         m.run(SimDuration::from_secs(5));
         assert_eq!(m.container(id).last_tick().accesses, 0);
+    }
+
+    #[test]
+    fn failed_restart_rolls_back_its_partial_footprint() {
+        let mut m = machine();
+        let id = m.add_container(&small_profile());
+        m.kill_container(id);
+        // Fill the host with anon pages that cannot be reclaimed (no
+        // swap), leaving room for about half of the killed footprint:
+        // the restart fails part-way through its classes.
+        let footprint: u64 = m.containers[id.0].planner.pages_per_class().iter().sum();
+        let filler = m.mm_mut().create_cgroup("filler", None);
+        let fill = m.mm().free_pages() - footprint / 2;
+        m.mm_mut()
+            .alloc_pages(filler, PageKind::Anon, fill, SimTime::ZERO)
+            .expect("fits");
+        let free_before = m.mm().free_pages();
+        assert!(!m.restart_container(id));
+        assert!(!m.is_alive(id));
+        let stat = m.mm().cgroup_stat(m.container(id).cgroup());
+        assert_eq!(stat.resident().as_u64(), 0);
+        assert_eq!(m.mm().free_pages(), free_before);
     }
 
     #[test]

@@ -272,7 +272,7 @@ pub fn reclaim_interval(interval: SimDuration, scale: Scale) -> IntervalResult {
 
 /// Runs all ablations and renders the summary, fanning each ablation's
 /// arms out over the runner.
-pub fn run_with(runner: &tmo::runner::FleetRunner, scale: Scale) -> ExperimentOutput {
+pub fn run(runner: &tmo::runner::FleetRunner, scale: Scale) -> ExperimentOutput {
     let mut out = ExperimentOutput::new("ablations", "Design-choice ablations");
 
     out.line("1. reclaim balancing (refault-balanced vs legacy file-first):".to_string());

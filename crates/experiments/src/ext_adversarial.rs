@@ -230,7 +230,7 @@ pub fn run_ab(runner: &FleetRunner, scenario: &Scenario, scale: Scale) -> AbResu
 }
 
 /// Runs every catalog scenario on the given runner.
-pub fn simulate_with(runner: &FleetRunner, scale: Scale) -> Vec<ScenarioPoint> {
+pub fn simulate(runner: &FleetRunner, scale: Scale) -> Vec<ScenarioPoint> {
     scenarios(scale)
         .iter()
         .map(|s| run_point(runner, s, scale))
@@ -238,12 +238,12 @@ pub fn simulate_with(runner: &FleetRunner, scale: Scale) -> Vec<ScenarioPoint> {
 }
 
 /// Regenerates the adversarial table on the given runner.
-pub fn run_with(runner: &FleetRunner, scale: Scale) -> ExperimentOutput {
+pub fn run(runner: &FleetRunner, scale: Scale) -> ExperimentOutput {
     let mut out = ExperimentOutput::new(
         "extension-adversarial",
         "adversarial scenario replay: SLO degradation and blame attribution",
     );
-    let points = simulate_with(runner, scale);
+    let points = simulate(runner, scale);
     out.line(format!(
         "{:<14} {:>7} {:>7} {:>6} {:>9} {:>6} {:>7}  {}",
         "scenario", "score", "stall", "kills", "recovery", "viols", "failed", "top blame edge"

@@ -148,7 +148,7 @@ pub fn run_case(runner: &FleetRunner, case: &PlantedScenario, scale: Scale) -> C
 }
 
 /// Runs every planted case on the given runner.
-pub fn simulate_with(runner: &FleetRunner, scale: Scale) -> Vec<CaseResult> {
+pub fn simulate(runner: &FleetRunner, scale: Scale) -> Vec<CaseResult> {
     planted_cases(scale)
         .iter()
         .map(|c| run_case(runner, c, scale))
@@ -156,12 +156,12 @@ pub fn simulate_with(runner: &FleetRunner, scale: Scale) -> Vec<CaseResult> {
 }
 
 /// Regenerates the precision table on the given runner.
-pub fn run_with(runner: &FleetRunner, scale: Scale) -> ExperimentOutput {
+pub fn run(runner: &FleetRunner, scale: Scale) -> ExperimentOutput {
     let mut out = ExperimentOutput::new(
         "extension-blame-validation",
         "blame ground truth: causal provenance vs growth-pro-rata attribution",
     );
-    let cases = simulate_with(runner, scale);
+    let cases = simulate(runner, scale);
     out.line(format!(
         "{:<14} {:>3} {:>11} {:>12} {:>11} {:>12} {:>11}",
         "case", "off", "causal-hit", "prorata-hit", "causal-err", "prorata-err", "extra-stall"
@@ -206,7 +206,7 @@ mod tests {
 
     #[test]
     fn causal_ledger_names_every_planted_offender() {
-        let cases = simulate_with(&FleetRunner::new(2), Scale::Quick);
+        let cases = simulate(&FleetRunner::new(2), Scale::Quick);
         for c in &cases {
             assert_eq!(
                 c.causal_hits, c.hosts,

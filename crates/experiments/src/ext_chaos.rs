@@ -199,7 +199,7 @@ pub fn run_point(runner: &FleetRunner, intensity: f64, scale: Scale) -> ChaosPoi
 }
 
 /// Runs the whole sweep on the given runner.
-pub fn simulate_with(runner: &FleetRunner, scale: Scale) -> Vec<ChaosPoint> {
+pub fn simulate(runner: &FleetRunner, scale: Scale) -> Vec<ChaosPoint> {
     INTENSITIES
         .iter()
         .map(|&intensity| run_point(runner, intensity, scale))
@@ -207,12 +207,12 @@ pub fn simulate_with(runner: &FleetRunner, scale: Scale) -> Vec<ChaosPoint> {
 }
 
 /// Regenerates the degradation table on the given runner.
-pub fn run_with(runner: &FleetRunner, scale: Scale) -> ExperimentOutput {
+pub fn run(runner: &FleetRunner, scale: Scale) -> ExperimentOutput {
     let mut out = ExperimentOutput::new(
         "extension-chaos",
         "deterministic fault injection: degradation curve over fault intensity",
     );
-    let points = simulate_with(runner, scale);
+    let points = simulate(runner, scale);
     out.line(format!(
         "{:<10} {:>9} {:>12} {:>10} {:>10} {:>11} {:>10} {:>8}",
         "intensity",

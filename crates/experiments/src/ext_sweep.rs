@@ -84,12 +84,12 @@ pub fn run_point(psi_threshold: f64, scale: Scale) -> SweepPoint {
 pub const THRESHOLDS: [f64; 5] = [0.0005, 0.001, 0.005, 0.02, 0.05];
 
 /// Runs the full sweep, one worker per grid point.
-pub fn simulate_with(runner: &tmo::runner::FleetRunner, scale: Scale) -> Vec<SweepPoint> {
+pub fn simulate(runner: &tmo::runner::FleetRunner, scale: Scale) -> Vec<SweepPoint> {
     runner.run(THRESHOLDS.len(), |i| run_point(THRESHOLDS[i], scale))
 }
 
 /// Regenerates the tuning sweep on the given runner.
-pub fn run_with(runner: &tmo::runner::FleetRunner, scale: Scale) -> ExperimentOutput {
+pub fn run(runner: &tmo::runner::FleetRunner, scale: Scale) -> ExperimentOutput {
     let mut out = ExperimentOutput::new(
         "extension-sweep",
         "§4.4 Senpai tuning sweep: savings vs RPS frontier (Web, zswap)",
@@ -98,7 +98,7 @@ pub fn run_with(runner: &tmo::runner::FleetRunner, scale: Scale) -> ExperimentOu
         "{:<16} {:>10} {:>12} {:>12}",
         "PSI threshold", "savings", "RPS (rel.)", "mem-PSI"
     ));
-    let points = simulate_with(runner, scale);
+    let points = simulate(runner, scale);
     for p in &points {
         let marker = if (p.psi_threshold - 0.001).abs() < 1e-9 {
             "  <- production"

@@ -64,7 +64,7 @@ pub fn run_backend(label: &str, swap: SwapKind, scale: Scale) -> TieredResult {
 }
 
 /// Runs all three architectures, one worker per backend.
-pub fn simulate_with(runner: &tmo::runner::FleetRunner, scale: Scale) -> Vec<TieredResult> {
+pub fn simulate(runner: &tmo::runner::FleetRunner, scale: Scale) -> Vec<TieredResult> {
     let backends: [(&str, SwapKind); 3] = [
         (
             "zswap only",
@@ -92,12 +92,12 @@ pub fn simulate_with(runner: &tmo::runner::FleetRunner, scale: Scale) -> Vec<Tie
 }
 
 /// Regenerates the extension comparison on the given runner.
-pub fn run_with(runner: &tmo::runner::FleetRunner, scale: Scale) -> ExperimentOutput {
+pub fn run(runner: &tmo::runner::FleetRunner, scale: Scale) -> ExperimentOutput {
     let mut out = ExperimentOutput::new(
         "extension-tiered",
         "§5.2 tiered backend hierarchy on a mixed host (Feed 3.0x + ML 1.3x)",
     );
-    let results = simulate_with(runner, scale);
+    let results = simulate(runner, scale);
     out.line(format!(
         "{:<26} {:>12} {:>12} {:>12}",
         "Backend", "net savings", "pool DRAM", "mem-PSI"
@@ -136,7 +136,7 @@ mod tests {
 
     #[test]
     fn tiered_trades_where_the_paper_says_it_should() {
-        let results = simulate_with(&crate::FleetRunner::default(), Scale::Quick);
+        let results = simulate(&crate::FleetRunner::default(), Scale::Quick);
         let (zswap, ssd, tiered) = (&results[0], &results[1], &results[2]);
         // The hierarchy matches or beats SSD-only on savings (within
         // run-to-run noise): its warm tier absorbs the compressible

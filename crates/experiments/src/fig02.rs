@@ -60,7 +60,7 @@ pub fn measure(profile: &AppProfile, scale: Scale) -> ColdnessRow {
 
 /// Regenerates Figure 2 for the seven characterised applications, one
 /// worker per application.
-pub fn run_with(runner: &tmo::runner::FleetRunner, scale: Scale) -> ExperimentOutput {
+pub fn run(runner: &tmo::runner::FleetRunner, scale: Scale) -> ExperimentOutput {
     let mut out = ExperimentOutput::new("figure-02", "Recently used memory per application");
     out.line(format!(
         "{:<12} {:>10} {:>10} {:>10} {:>10}",

@@ -48,7 +48,7 @@ pub fn measure(profile: &AppProfile, zswap: bool, scale: Scale) -> SavingsRow {
 /// Regenerates Figure 9 for all eight applications (nine bars — Ads A
 /// appears once; the paper's x-axis lists nine labels), one worker per
 /// application.
-pub fn run_with(runner: &tmo::runner::FleetRunner, scale: Scale) -> ExperimentOutput {
+pub fn run(runner: &tmo::runner::FleetRunner, scale: Scale) -> ExperimentOutput {
     let mut out = ExperimentOutput::new(
         "figure-09",
         "Memory savings per application (normalised to resident size)",

@@ -80,7 +80,7 @@ pub fn run_phase(label: &str, swap: SwapKind, senpai: bool, scale: Scale) -> Pha
 }
 
 /// Runs all three phases, one worker per phase.
-pub fn simulate_with(runner: &tmo::runner::FleetRunner, scale: Scale) -> Vec<PhaseResult> {
+pub fn simulate(runner: &tmo::runner::FleetRunner, scale: Scale) -> Vec<PhaseResult> {
     let phases: [(&str, SwapKind, bool); 3] = [
         ("baseline (no offload)", SwapKind::None, false),
         ("TMO: SSD offload", SwapKind::Ssd(SsdModel::C), true),
@@ -100,12 +100,12 @@ pub fn simulate_with(runner: &tmo::runner::FleetRunner, scale: Scale) -> Vec<Pha
 }
 
 /// Regenerates Figure 11 on the given runner.
-pub fn run_with(runner: &tmo::runner::FleetRunner, scale: Scale) -> ExperimentOutput {
+pub fn run(runner: &tmo::runner::FleetRunner, scale: Scale) -> ExperimentOutput {
     let mut out = ExperimentOutput::new(
         "figure-11",
         "Web on memory-bound hosts: RPS and resident memory, 3 phases",
     );
-    let phases = simulate_with(runner, scale);
+    let phases = simulate(runner, scale);
     let baseline_resident = phases[0].final_resident_mib.max(1.0);
     out.line(format!(
         "{:<26} {:>10} {:>10} {:>10} {:>14}",
@@ -143,7 +143,7 @@ mod tests {
 
     #[test]
     fn baseline_loses_rps_and_tmo_recovers_it() {
-        let phases = simulate_with(&crate::FleetRunner::default(), Scale::Quick);
+        let phases = simulate(&crate::FleetRunner::default(), Scale::Quick);
         let baseline = &phases[0];
         let ssd = &phases[1];
         let zswap = &phases[2];

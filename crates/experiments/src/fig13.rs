@@ -101,7 +101,7 @@ fn config_b(scale: Scale) -> SenpaiConfig {
 }
 
 /// Runs baseline, Config A, and Config B tiers, one worker per tier.
-pub fn simulate_with(runner: &tmo::runner::FleetRunner, scale: Scale) -> Vec<ConfigResult> {
+pub fn simulate(runner: &tmo::runner::FleetRunner, scale: Scale) -> Vec<ConfigResult> {
     let tiers: [(&str, Option<SenpaiConfig>); 3] = [
         ("baseline (TMO off)", None),
         ("Config A (production)", Some(config_a(scale))),
@@ -114,12 +114,12 @@ pub fn simulate_with(runner: &tmo::runner::FleetRunner, scale: Scale) -> Vec<Con
 }
 
 /// Regenerates Figure 13 on the given runner.
-pub fn run_with(runner: &tmo::runner::FleetRunner, scale: Scale) -> ExperimentOutput {
+pub fn run(runner: &tmo::runner::FleetRunner, scale: Scale) -> ExperimentOutput {
     let mut out = ExperimentOutput::new(
         "figure-13",
         "Senpai Config A vs Config B on non-memory-bound Web (zswap backend)",
     );
-    let tiers = simulate_with(runner, scale);
+    let tiers = simulate(runner, scale);
     let baseline_rps = tiers[0].rps.max(1.0);
     out.line(format!(
         "{:<24} {:>10} {:>9} {:>9} {:>9} {:>10} {:>10}",
@@ -159,7 +159,7 @@ mod tests {
 
     #[test]
     fn config_b_saves_more_but_regresses() {
-        let tiers = simulate_with(&crate::FleetRunner::default(), Scale::Quick);
+        let tiers = simulate(&crate::FleetRunner::default(), Scale::Quick);
         let (baseline, a, b) = (&tiers[0], &tiers[1], &tiers[2]);
         // Both configs save memory relative to baseline.
         assert!(a.resident_mib < baseline.resident_mib * 0.98);

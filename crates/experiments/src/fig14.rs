@@ -100,7 +100,7 @@ pub fn run_host(seed: u64, scale: Scale) -> Vec<f64> {
 
 /// Runs the cluster on the given runner and aggregates per-day
 /// percentiles. Output is bit-identical for any worker count.
-pub fn simulate_with(runner: &FleetRunner, scale: Scale) -> Vec<DayRow> {
+pub fn simulate(runner: &FleetRunner, scale: Scale) -> Vec<DayRow> {
     let n = hosts(scale);
     let (per_host, _) = runner
         .try_run(EXPERIMENT_SEED, n, |host, _| run_host(host.seed, scale))
@@ -121,12 +121,12 @@ pub fn simulate_with(runner: &FleetRunner, scale: Scale) -> Vec<DayRow> {
 }
 
 /// Regenerates Figure 14 on the given runner.
-pub fn run_with(runner: &FleetRunner, scale: Scale) -> ExperimentOutput {
+pub fn run(runner: &FleetRunner, scale: Scale) -> ExperimentOutput {
     let mut out = ExperimentOutput::new(
         "figure-14",
         "Swap-out rate with and without write regulation (Ads B cluster)",
     );
-    let rows = simulate_with(runner, scale);
+    let rows = simulate(runner, scale);
     out.line(format!(
         "{:<6} {:<14} {:>12} {:>12}",
         "Day", "regulation", "p50 (MB/s)", "p90 (MB/s)"
@@ -158,7 +158,7 @@ mod tests {
 
     #[test]
     fn regulation_clamps_the_write_rate() {
-        let rows = simulate_with(&FleetRunner::default(), Scale::Quick);
+        let rows = simulate(&FleetRunner::default(), Scale::Quick);
         assert_eq!(rows.len(), 14);
         let unreg_p90: f64 = rows[2..7].iter().map(|r| r.p90).sum::<f64>() / 5.0;
         let reg_p90: f64 = rows[9..14].iter().map(|r| r.p90).sum::<f64>() / 5.0;

@@ -67,7 +67,7 @@ pub fn run_host(workload: &AppProfile, zswap: bool, seed: u64, scale: Scale) -> 
 
 /// Runs the whole fleet on the given runner and aggregates. Output is
 /// bit-identical for any worker count.
-pub fn simulate_with(runner: &FleetRunner, scale: Scale) -> (Vec<HostSavings>, FleetSummary) {
+pub fn simulate(runner: &FleetRunner, scale: Scale) -> (Vec<HostSavings>, FleetSummary) {
     let (hosts, _, summary) = simulate_with_stats(runner, scale);
     (hosts, summary)
 }
@@ -88,7 +88,7 @@ fn simulate_with_stats(
 }
 
 /// Regenerates the headline table on the given runner.
-pub fn run_with(runner: &FleetRunner, scale: Scale) -> ExperimentOutput {
+pub fn run(runner: &FleetRunner, scale: Scale) -> ExperimentOutput {
     let mut out = ExperimentOutput::new(
         "headline",
         "Fleet-wide savings rollup (abstract: 20-32% of total memory)",
@@ -130,7 +130,7 @@ mod tests {
 
     #[test]
     fn fleet_rollup_reaches_the_headline_band() {
-        let (hosts, summary) = simulate_with(&FleetRunner::new(4), Scale::Quick);
+        let (hosts, summary) = simulate(&FleetRunner::new(4), Scale::Quick);
         assert_eq!(hosts.len(), fleet_mix().len());
         // Every host saved something from both the workload and the tax.
         for host in &hosts {

@@ -139,7 +139,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
         "hardware cost model across server generations",
         |_, _| fig01::run(),
     ),
-    figure(2, "application memory coldness CDF", fig02::run_with),
+    figure(2, "application memory coldness CDF", fig02::run),
     figure(3, "datacenter / microservice memory tax", |_, scale| {
         fig03::run(scale)
     }),
@@ -164,7 +164,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
         "Senpai pressure tracking and reclaim tuning",
         |_, scale| fig08::run(scale),
     ),
-    figure(9, "per-application memory savings", fig09::run_with),
+    figure(9, "per-application memory savings", fig09::run),
     figure(
         10,
         "memory-tax savings from offloading sidecars",
@@ -173,7 +173,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
     figure(
         11,
         "Web on memory-bound hosts, three deployment phases",
-        fig11::run_with,
+        fig11::run,
     ),
     figure(
         12,
@@ -183,54 +183,54 @@ pub const EXPERIMENTS: &[Experiment] = &[
     figure(
         13,
         "Senpai config A vs config B RPS/savings tradeoff",
-        fig13::run_with,
+        fig13::run,
     ),
     figure(
         14,
         "swap write regulation under endurance limits",
-        fig14::run_with,
+        fig14::run,
     ),
     named(
         "ablate",
         "design-choice ablations (PSI flavors, policies, backends)",
         Suite::Ablations,
-        ablate::run_with,
+        ablate::run,
     ),
     named(
         "ext_tiered",
         "tiered zswap+SSD backend hierarchy extension",
         Suite::Extensions,
-        ext_tiered::run_with,
+        ext_tiered::run,
     ),
     named(
         "ext_sweep",
         "Senpai tuning sweep: savings vs RPS frontier",
         Suite::Extensions,
-        ext_sweep::run_with,
+        ext_sweep::run,
     ),
     named(
         "ext_chaos",
         "fault-injection degradation curves over chaos intensity",
         Suite::Extensions,
-        ext_chaos::run_with,
+        ext_chaos::run,
     ),
     named(
         "ext_adversarial",
         "adversarial scenario replay: SLO scores, blame, A/B harness",
         Suite::Extensions,
-        ext_adversarial::run_with,
+        ext_adversarial::run,
     ),
     named(
         "ext_blame_validation",
         "blame ground truth: causal vs pro-rata attribution precision",
         Suite::Extensions,
-        ext_blame_validation::run_with,
+        ext_blame_validation::run,
     ),
     named(
         "headline",
         "fleet-wide 20-32% savings headline rollup",
         Suite::Extensions,
-        headline::run_with,
+        headline::run,
     ),
     named(
         "ext_paper_scale",

@@ -16,7 +16,7 @@ use tmo_experiments::{ext_chaos, Scale};
 const GOLDEN: &str = include_str!("../../../scripts/golden/ext_chaos_quick.txt");
 
 fn rendered(runner: &FleetRunner) -> String {
-    format!("{}\n", ext_chaos::run_with(runner, Scale::Quick).render())
+    format!("{}\n", ext_chaos::run(runner, Scale::Quick).render())
 }
 
 #[test]

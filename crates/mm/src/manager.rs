@@ -728,52 +728,15 @@ impl MemoryManager {
     }
 
     /// Batched [`MemoryManager::access`]: touches `ids` in order at
-    /// `now`, appending one outcome per page to `out` (cleared first).
-    /// Behavior and RNG-draw order are identical to calling `access` in
-    /// a loop; the win is that the overwhelmingly common case — a
-    /// resident page that stays on its list — is handled inline against
-    /// the packed metadata slab, without a cross-crate call per page.
-    pub fn access_batch_into(
-        &mut self,
-        ids: &[PageId],
-        now: SimTime,
-        out: &mut Vec<AccessOutcome>,
-    ) {
-        out.clear();
-        out.reserve(ids.len());
-        for &id in ids {
-            let meta = &mut self.pages[id.0 as usize];
-            let fast = meta.is_resident()
-                && meta.flags & (FLAG_INACTIVE | FLAG_REFERENCED)
-                    != (FLAG_INACTIVE | FLAG_REFERENCED);
-            if fast {
-                // Resident, no LRU move needed: mark referenced, stamp
-                // the access time, done.
-                meta.last_access = now;
-                meta.flags |= FLAG_REFERENCED;
-                out.push(AccessOutcome::Hit);
-            } else {
-                out.push(self.access(id, now));
-            }
-        }
-    }
-
-    /// Allocating convenience wrapper around
-    /// [`MemoryManager::access_batch_into`].
-    pub fn access_batch(&mut self, ids: &[PageId], now: SimTime) -> Vec<AccessOutcome> {
-        let mut out = Vec::new();
-        self.access_batch_into(ids, now, &mut out);
-        out
-    }
-
-    /// Like [`MemoryManager::access_batch_into`] but folds each outcome
-    /// into aggregate [`BatchAccessStats`] on the spot instead of
-    /// materializing an outcome per page. Swap-in fault latencies are
-    /// appended to `swap_latencies_secs` (in seconds, occurrence order)
-    /// for latency-quantile tracking. Behavior and RNG-draw order are
-    /// identical to `access_batch_into`; the sums are commutative, so
-    /// the totals match a caller-side loop over the outcome vector.
-    pub fn access_batch_stats(
+    /// `now` and folds each outcome into aggregate [`BatchAccessStats`]
+    /// instead of materializing an outcome per page. Swap-in fault
+    /// latencies are appended to `swap_latencies_secs` (in seconds,
+    /// occurrence order) for latency-quantile tracking. Behavior and
+    /// RNG-draw order are identical to calling `access` in a loop and
+    /// folding with [`BatchAccessStats::fold`]; the win is that the
+    /// overwhelmingly common case — a resident page that stays on its
+    /// list — is handled inline against the packed metadata slab.
+    pub fn access_batch(
         &mut self,
         ids: &[PageId],
         now: SimTime,
@@ -786,36 +749,24 @@ impl MemoryManager {
                 && meta.flags & (FLAG_INACTIVE | FLAG_REFERENCED)
                     != (FLAG_INACTIVE | FLAG_REFERENCED);
             if fast {
+                // Resident, no LRU move needed: mark referenced, stamp
+                // the access time, done.
                 meta.last_access = now;
                 meta.flags |= FLAG_REFERENCED;
                 stats.accesses += 1;
-            } else {
-                // Slow path: activation or fault. Dispatch on the state
-                // already loaded instead of re-reading the slot through
-                // `access` (same transitions, same RNG draws).
-                let outcome = if meta.is_resident() {
-                    self.access(id, now)
-                } else {
-                    let owner = meta.owner();
-                    match meta.state() {
-                        PageState::Offloaded { token } => self.swap_in(id, owner, token, now),
-                        PageState::EvictedFile { shadow } => {
-                            self.file_fault(id, owner, shadow, now)
-                        }
-                        PageState::Freed => panic!("access to freed {id}"),
-                        PageState::Resident { .. } => unreachable!("handled above"),
-                    }
-                };
-                if let AccessOutcome::Fault {
-                    kind: FaultKind::SwapIn,
-                    latency,
-                    ..
-                } = outcome
-                {
-                    swap_latencies_secs.push(latency.as_secs_f64());
-                }
-                stats.fold(outcome);
+                continue;
             }
+            // Slow path: activation or fault.
+            let outcome = self.access(id, now);
+            if let AccessOutcome::Fault {
+                kind: FaultKind::SwapIn,
+                latency,
+                ..
+            } = outcome
+            {
+                swap_latencies_secs.push(latency.as_secs_f64());
+            }
+            stats.fold(outcome);
         }
         stats
     }

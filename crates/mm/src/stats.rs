@@ -90,7 +90,7 @@ impl AccessOutcome {
 }
 
 /// Aggregated counters for one batch of page accesses, folded inline by
-/// [`MemoryManager::access_batch_stats`](crate::MemoryManager::access_batch_stats)
+/// [`MemoryManager::access_batch`](crate::MemoryManager::access_batch)
 /// so steady-state ticks never materialize a per-page outcome vector.
 /// Every field is a commutative sum of per-outcome contributions, so the
 /// totals equal what a caller looping over [`AccessOutcome`]s would

@@ -10,7 +10,10 @@
 
 use proptest::prelude::*;
 use tmo_backends::{OffloadBackend, ZswapAllocator, ZswapPool};
-use tmo_mm::{LruTier, MemoryManager, MmConfig, PageId, PageKind, ReclaimPolicy};
+use tmo_mm::{
+    AccessOutcome, BatchAccessStats, FaultKind, LruTier, MemoryManager, MmConfig, PageId, PageKind,
+    ReclaimPolicy,
+};
 use tmo_sim::{ByteSize, SimDuration, SimTime};
 
 const PAGE: ByteSize = ByteSize::from_kib(4);
@@ -113,7 +116,7 @@ fn apply(mm: &mut MemoryManager, live: &mut Vec<PageId>, now: SimTime, op: &Op) 
                 let ids: Vec<PageId> = (0..*n as usize)
                     .map(|k| live[(*idx as usize + k) % live.len()])
                     .collect();
-                let _ = mm.access_batch(&ids, now);
+                let _ = mm.access_batch(&ids, now, &mut Vec::new());
             }
         }
         Op::Reclaim(n) => {
@@ -204,9 +207,11 @@ proptest! {
     }
 
     /// Differential check of the batched fast path: the same access
-    /// sequence driven one page at a time and as batches produces the
-    /// identical `AccessOutcome` sequence and identical final state on
-    /// two managers built from the same config.
+    /// sequence driven one page at a time through the scalar `access`
+    /// reference and as `access_batch` chunks produces, chunk by chunk,
+    /// the identical `BatchAccessStats` (the scalar outcomes folded with
+    /// `BatchAccessStats::fold`) and swap-in latency sequence, and the
+    /// identical final state on two managers built from the same config.
     #[test]
     fn batch_access_matches_singles(
         n_anon in 1u64..60,
@@ -235,15 +240,21 @@ proptest! {
             .iter()
             .map(|&i| pages_s[i as usize % pages_s.len()])
             .collect();
-        let mut single_outcomes = Vec::with_capacity(ids.len());
-        for &id in &ids {
-            single_outcomes.push(mm_single.access(id, now));
-        }
-        let mut batch_outcomes = Vec::new();
+        let mut single_lat = Vec::new();
+        let mut batch_lat = Vec::new();
         for chunk_ids in ids.chunks(chunk) {
-            batch_outcomes.extend(mm_batch.access_batch(chunk_ids, now));
+            let mut single = BatchAccessStats::default();
+            for &id in chunk_ids {
+                let outcome = mm_single.access(id, now);
+                if let AccessOutcome::Fault { kind: FaultKind::SwapIn, latency, .. } = outcome {
+                    single_lat.push(latency.as_secs_f64());
+                }
+                single.fold(outcome);
+            }
+            let batch = mm_batch.access_batch(chunk_ids, now, &mut batch_lat);
+            prop_assert_eq!(single, batch);
         }
-        prop_assert_eq!(single_outcomes, batch_outcomes);
+        prop_assert_eq!(single_lat, batch_lat);
         prop_assert_eq!(mm_single.cgroup_stat(cg_s), mm_batch.cgroup_stat(cg_b));
         prop_assert_eq!(mm_single.global_stat(), mm_batch.global_stat());
         for (&a, &b) in pages_s.iter().zip(&pages_b) {

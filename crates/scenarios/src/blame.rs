@@ -1,13 +1,20 @@
-//! Stall blame attribution: whose growth caused whose pressure?
+//! Stall blame attribution: who caused whose pressure?
 //!
 //! Memory pressure is a host-level externality — the container paying
 //! the stall is often not the one that caused it (the paper's memory
-//! tax argument in §2.2). The ledger here charges every stalled second
-//! to the containers whose resident footprint *grew* during the same
-//! tick, pro-rata by growth, which is the best tick-local proxy for
-//! "who pushed whom out". A container growing while it stalls charges
-//! (part of) its own bill to itself; a victim stalling while only its
-//! neighbour grows charges the neighbour.
+//! tax argument in §2.2). [`BlameLedger`] is the one victim×offender
+//! matrix of stalled seconds, with two ways to fill it:
+//!
+//! * [`BlameLedger::observe`] — the growth-pro-rata heuristic: every
+//!   stalled second goes to the containers whose resident footprint
+//!   *grew* during the same tick, pro-rata by growth, the best
+//!   tick-local proxy for "who pushed whom out". A container growing
+//!   while it stalls charges (part of) its own bill to itself; a victim
+//!   stalling while only its neighbour grows charges the neighbour.
+//! * [`BlameLedger::charge`] — causal charges drained from the core's
+//!   reclaim-pressure provenance (see [`crate::provenance`]), each
+//!   naming the cgroup whose allocation evicted the page the victim
+//!   then stalled on.
 
 use tmo_sim::SimDuration;
 
@@ -16,7 +23,7 @@ use tmo_sim::SimDuration;
 pub struct BlameAttribution {
     /// Container that paid the stall.
     pub victim: usize,
-    /// Container whose growth it was charged to.
+    /// Container it was charged to (by growth or by provenance).
     pub offender: usize,
     /// Seconds of the victim's stall charged to the offender.
     pub stall_secs: f64,
@@ -24,7 +31,9 @@ pub struct BlameAttribution {
     pub share: f64,
 }
 
-/// A victim-major matrix of stall charges, filled tick by tick.
+/// A victim-major matrix of stall charges, filled tick by tick from
+/// growth coincidence ([`observe`](Self::observe)) or drained
+/// provenance ([`charge`](Self::charge)).
 #[derive(Debug, Clone, PartialEq)]
 pub struct BlameLedger {
     n: usize,
@@ -79,6 +88,12 @@ impl BlameLedger {
         }
     }
 
+    /// Adds one drained charge: `victim` stalled for `stall` because of
+    /// `offender`'s allocations.
+    pub fn charge(&mut self, victim: usize, offender: usize, stall: SimDuration) {
+        self.charged[victim * self.n + offender] += stall.as_secs_f64();
+    }
+
     /// Seconds of `victim`'s stall charged to `offender`.
     pub fn charged(&self, victim: usize, offender: usize) -> f64 {
         self.charged[victim * self.n + offender]
@@ -106,15 +121,25 @@ impl BlameLedger {
 
     /// The offender with the largest *cross-container* charge summed
     /// over every victim but itself — the host-level "who is the
-    /// antagonist" answer, comparable with
-    /// [`CausalLedger::top_cross_offender`](crate::provenance::CausalLedger::top_cross_offender).
-    /// Self-charges are excluded; ties go to the smallest index.
+    /// antagonist" answer. Self-charges (Senpai shrinking a container
+    /// for its own good, thrash under a static footprint) are excluded;
+    /// ties go to the smallest index.
     pub fn top_cross_offender(&self) -> Option<(usize, f64)> {
-        crate::provenance::top_cross_offender_of(self.n, |v, o| self.charged(v, o))
+        let mut best: Option<(usize, f64)> = None;
+        for offender in 0..self.n {
+            let total: f64 = (0..self.n)
+                .filter(|&v| v != offender)
+                .map(|v| self.charged(v, offender))
+                .sum();
+            if total > 0.0 && best.is_none_or(|(_, b)| total > b) {
+                best = Some((offender, total));
+            }
+        }
+        best
     }
 
     /// The single largest *cross-container* charge in the ledger — the
-    /// headline "X's growth cost Y `n` seconds" edge. `None` when every
+    /// headline "X cost Y `n` seconds" edge. `None` when every
     /// charge is self-inflicted (or zero).
     pub fn top_edge(&self) -> Option<BlameAttribution> {
         let mut best: Option<BlameAttribution> = None;
@@ -190,5 +215,40 @@ mod tests {
         assert_eq!(ledger.charged(0, 1), 0.5);
         // Tie between self and neighbour: smallest index wins.
         assert_eq!(ledger.top_offender(0), Some((0, 0.5)));
+    }
+
+    #[test]
+    fn charges_accumulate_per_edge() {
+        let mut ledger = BlameLedger::new(3);
+        ledger.charge(0, 1, secs(1.0));
+        ledger.charge(0, 1, secs(0.5));
+        ledger.charge(0, 0, secs(2.0));
+        assert_eq!(ledger.charged(0, 1), 1.5);
+        assert_eq!(ledger.charged(0, 0), 2.0);
+        assert_eq!(ledger.total(0), 3.5);
+        // Self-charge wins the per-victim view...
+        assert_eq!(ledger.top_offender(0), Some((0, 2.0)));
+        // ...but the cross view skips it.
+        assert_eq!(ledger.top_cross_offender(), Some((1, 1.5)));
+        let edge = ledger.top_edge().expect("cross edge");
+        assert_eq!((edge.victim, edge.offender), (0, 1));
+        assert!((edge.share - 1.5 / 3.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn empty_ledger_has_no_offenders() {
+        let ledger = BlameLedger::new(2);
+        assert_eq!(ledger.top_offender(0), None);
+        assert_eq!(ledger.top_cross_offender(), None);
+        assert_eq!(ledger.top_edge(), None);
+        assert!(BlameLedger::new(0).is_empty());
+    }
+
+    #[test]
+    fn cross_offender_ties_go_to_the_smallest_index() {
+        let mut ledger = BlameLedger::new(3);
+        ledger.charge(0, 1, secs(1.0));
+        ledger.charge(0, 2, secs(1.0));
+        assert_eq!(ledger.top_cross_offender(), Some((1, 1.0)));
     }
 }

@@ -22,13 +22,14 @@
 //! * [`slo`] — [`SloTracker`] scores each container against a stall
 //!   budget, kill count, and per-event time-to-recover, producing
 //!   [`SloReport`]s and one scalar degradation number.
-//! * [`blame`] — [`BlameLedger`] charges every stalled second to the
-//!   containers whose footprint grew that tick: the "whose growth
-//!   caused whose pressure" attribution.
-//! * [`provenance`] — [`CausalLedger`], the same attribution filled
-//!   from reclaim-pressure provenance threaded through the core
-//!   [`tmo::Machine`], plus the planted-offender ground-truth harness
-//!   that validates both ledgers.
+//! * [`blame`] — [`BlameLedger`], the one victim×offender matrix of
+//!   stalled seconds: "who caused whose pressure". It fills either
+//!   pro-rata by footprint growth ([`BlameLedger::observe`]) or from
+//!   reclaim-pressure provenance threaded through the core
+//!   [`tmo::Machine`] ([`BlameLedger::charge`]).
+//! * [`provenance`] — the planted-offender ground-truth harness that
+//!   scores both fills, and [`CausalLedger`], the provenance-filled
+//!   ledger's name kept as an alias.
 //! * [`trace`] — [`RecordedTrace`], a versioned byte format for
 //!   recorded per-container demand/leak/churn series, compiled into
 //!   scenario event lists.

@@ -1,6 +1,6 @@
 //! Causal blame attribution from reclaim-pressure provenance.
 //!
-//! The growth-pro-rata [`BlameLedger`](crate::blame::BlameLedger) is a
+//! The growth-pro-rata [`BlameLedger::observe`] fill is a
 //! heuristic: it charges a victim's stall to whoever *grew* that tick,
 //! which conflates correlation with causation. This module holds the
 //! causal alternative: the core [`tmo::Machine`] threads a provenance
@@ -8,8 +8,8 @@
 //! when this page was pushed out?), and every refault or direct-reclaim
 //! stall is charged to the cgroup that actually triggered the eviction
 //! — at the reclaim decision point, not post-hoc from resident-growth
-//! series. [`run_scenario`] drains those
-//! charges each tick into a [`CausalLedger`].
+//! series. [`run_scenario`] drains those charges each tick into a
+//! second [`BlameLedger`] through [`BlameLedger::charge`].
 //!
 //! The second half of the module is the validation harness the ledger
 //! ships with: [`PlantedScenario`]s with a *known* single offender, and
@@ -21,128 +21,17 @@
 
 use tmo::prelude::*;
 
-use crate::blame::BlameAttribution;
+use crate::blame::BlameLedger;
 use crate::run::{run_scenario, ScenarioRunConfig};
 use crate::scenario::Scenario;
 use tmo_sim::SimDuration;
 
-/// A victim-major matrix of *causally attributed* stall charges.
-///
-/// Shape-compatible with [`BlameLedger`](crate::blame::BlameLedger) so
-/// the two can be scored against the same ground truth, but filled from
-/// drained [`tmo::ProvenanceCharge`]s instead of growth coincidence.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CausalLedger {
-    n: usize,
-    /// `charged[victim * n + offender]`, in seconds.
-    charged: Vec<f64>,
-}
-
-impl CausalLedger {
-    /// An empty ledger over `n` containers.
-    pub fn new(n: usize) -> Self {
-        CausalLedger {
-            n,
-            charged: vec![0.0; n * n],
-        }
-    }
-
-    /// Containers tracked.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Whether the ledger tracks no containers.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// Adds one drained charge: `victim` stalled for `stall` because of
-    /// `offender`'s allocations.
-    pub fn charge(&mut self, victim: usize, offender: usize, stall: SimDuration) {
-        self.charged[victim * self.n + offender] += stall.as_secs_f64();
-    }
-
-    /// Seconds of `victim`'s stall charged to `offender`.
-    pub fn charged(&self, victim: usize, offender: usize) -> f64 {
-        self.charged[victim * self.n + offender]
-    }
-
-    /// `victim`'s total attributed stall, seconds.
-    pub fn total(&self, victim: usize) -> f64 {
-        self.charged[victim * self.n..(victim + 1) * self.n]
-            .iter()
-            .sum()
-    }
-
-    /// The offender charged the most for `victim`'s stall (ties go to
-    /// the smallest index; `None` if nothing was charged).
-    pub fn top_offender(&self, victim: usize) -> Option<(usize, f64)> {
-        let row = &self.charged[victim * self.n..(victim + 1) * self.n];
-        let mut best: Option<(usize, f64)> = None;
-        for (offender, &secs) in row.iter().enumerate() {
-            if secs > 0.0 && best.is_none_or(|(_, b)| secs > b) {
-                best = Some((offender, secs));
-            }
-        }
-        best
-    }
-
-    /// The offender with the largest *cross-container* charge summed
-    /// over every victim but itself — the host-level "who is the
-    /// antagonist" answer. Self-charges (Senpai shrinking a container
-    /// for its own good, thrash under a static footprint) are excluded;
-    /// ties go to the smallest index.
-    pub fn top_cross_offender(&self) -> Option<(usize, f64)> {
-        top_cross_offender_of(self.n, |v, o| self.charged(v, o))
-    }
-
-    /// The single largest cross-container charge in the ledger. `None`
-    /// when every charge is self-inflicted (or zero).
-    pub fn top_edge(&self) -> Option<BlameAttribution> {
-        let mut best: Option<BlameAttribution> = None;
-        for victim in 0..self.n {
-            let row_total = self.total(victim);
-            for offender in 0..self.n {
-                if offender == victim {
-                    continue;
-                }
-                let secs = self.charged(victim, offender);
-                if secs > 0.0 && best.as_ref().is_none_or(|b| secs > b.stall_secs) {
-                    best = Some(BlameAttribution {
-                        victim,
-                        offender,
-                        stall_secs: secs,
-                        share: if row_total > 0.0 {
-                            secs / row_total
-                        } else {
-                            0.0
-                        },
-                    });
-                }
-            }
-        }
-        best
-    }
-}
-
-/// Shared cross-offender aggregation (used by both ledger types).
-pub(crate) fn top_cross_offender_of(
-    n: usize,
-    charged: impl Fn(usize, usize) -> f64,
-) -> Option<(usize, f64)> {
-    let mut best: Option<(usize, f64)> = None;
-    for offender in 0..n {
-        let total: f64 = (0..n)
-            .filter(|&v| v != offender)
-            .map(|v| charged(v, offender))
-            .sum();
-        if total > 0.0 && best.is_none_or(|(_, b)| total > b) {
-            best = Some((offender, total));
-        }
-    }
-    best
-}
+/// The causal ledger: a [`BlameLedger`] filled through
+/// [`BlameLedger::charge`] from drained [`tmo::ProvenanceCharge`]s
+/// instead of growth coincidence. The alias exists only because the
+/// benchmark package (`benchmark/`, its own workspace) builds it as
+/// `CausalLedger::new`; new code names [`BlameLedger`].
+pub type CausalLedger = BlameLedger;
 
 /// A scenario with a *known* single offender, paired with its
 /// offender-free baseline for counterfactual ground truth.
@@ -255,15 +144,11 @@ impl GroundTruthRow {
     }
 }
 
-/// Per-edge L1 error of a charge matrix against the planted ground
-/// truth, summed over cross-container edges only (self-charges are a
-/// policy choice, not an attribution error).
-fn cross_edge_error(
-    n: usize,
-    offender: usize,
-    gt_extra: &[f64],
-    charged: impl Fn(usize, usize) -> f64,
-) -> f64 {
+/// Per-edge L1 error of a ledger against the planted ground truth,
+/// summed over cross-container edges only (self-charges are a policy
+/// choice, not an attribution error).
+fn cross_edge_error(ledger: &BlameLedger, offender: usize, gt_extra: &[f64]) -> f64 {
+    let n = ledger.len();
     let mut err = 0.0;
     for (victim, &extra) in gt_extra.iter().enumerate().take(n) {
         for o in 0..n {
@@ -275,7 +160,7 @@ fn cross_edge_error(
             } else {
                 0.0
             };
-            err += (charged(victim, o) - truth).abs();
+            err += (ledger.charged(victim, o) - truth).abs();
         }
     }
     err
@@ -309,12 +194,8 @@ pub fn evaluate_planted(
         offender: planted.offender,
         causal_top: with.causal.top_cross_offender().map(|(o, _)| o),
         prorata_top: with.blame.top_cross_offender().map(|(o, _)| o),
-        causal_err_secs: cross_edge_error(n, planted.offender, &gt_extra, |v, o| {
-            with.causal.charged(v, o)
-        }),
-        prorata_err_secs: cross_edge_error(n, planted.offender, &gt_extra, |v, o| {
-            with.blame.charged(v, o)
-        }),
+        causal_err_secs: cross_edge_error(&with.causal, planted.offender, &gt_extra),
+        prorata_err_secs: cross_edge_error(&with.blame, planted.offender, &gt_extra),
         extra_stall_secs: gt_extra.iter().sum(),
     }
 }
@@ -329,59 +210,18 @@ mod tests {
     }
 
     #[test]
-    fn charges_accumulate_per_edge() {
-        let mut ledger = CausalLedger::new(3);
-        ledger.charge(0, 1, secs(1.0));
-        ledger.charge(0, 1, secs(0.5));
-        ledger.charge(0, 0, secs(2.0));
-        assert_eq!(ledger.charged(0, 1), 1.5);
-        assert_eq!(ledger.charged(0, 0), 2.0);
-        assert_eq!(ledger.total(0), 3.5);
-        // Self-charge wins the per-victim view...
-        assert_eq!(ledger.top_offender(0), Some((0, 2.0)));
-        // ...but the cross view skips it.
-        assert_eq!(ledger.top_cross_offender(), Some((1, 1.5)));
-        let edge = ledger.top_edge().expect("cross edge");
-        assert_eq!((edge.victim, edge.offender), (0, 1));
-        assert!((edge.share - 1.5 / 3.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_ledger_has_no_offenders() {
-        let ledger = CausalLedger::new(2);
-        assert_eq!(ledger.top_offender(0), None);
-        assert_eq!(ledger.top_cross_offender(), None);
-        assert_eq!(ledger.top_edge(), None);
-        assert!(CausalLedger::new(0).is_empty());
-    }
-
-    #[test]
-    fn cross_offender_ties_go_to_the_smallest_index() {
-        let mut ledger = CausalLedger::new(3);
-        ledger.charge(0, 1, secs(1.0));
-        ledger.charge(0, 2, secs(1.0));
-        assert_eq!(ledger.top_cross_offender(), Some((1, 1.0)));
-    }
-
-    #[test]
     fn edge_error_is_zero_for_a_perfect_ledger() {
         // Ground truth: offender 1 cost victim 0 exactly 2 s.
         let gt = [2.0, 0.0];
-        let mut perfect = CausalLedger::new(2);
+        let mut perfect = BlameLedger::new(2);
         perfect.charge(0, 1, secs(2.0));
-        assert_eq!(
-            cross_edge_error(2, 1, &gt, |v, o| perfect.charged(v, o)),
-            0.0
-        );
+        assert_eq!(cross_edge_error(&perfect, 1, &gt), 0.0);
         // A ledger that split the charge across both neighbours pays
         // for both the shortfall and the phantom edge.
-        let mut sloppy = CausalLedger::new(2);
+        let mut sloppy = BlameLedger::new(2);
         sloppy.charge(0, 1, secs(1.0));
         sloppy.charge(1, 0, secs(1.0));
-        assert_eq!(
-            cross_edge_error(2, 1, &gt, |v, o| sloppy.charged(v, o)),
-            2.0
-        );
+        assert_eq!(cross_edge_error(&sloppy, 1, &gt), 2.0);
     }
 
     #[test]

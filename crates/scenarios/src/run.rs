@@ -5,7 +5,6 @@ use tmo_sim::Recorder;
 
 use crate::blame::{BlameAttribution, BlameLedger};
 use crate::engine::ScenarioEngine;
-use crate::provenance::CausalLedger;
 use crate::scenario::Scenario;
 use crate::slo::{SloConfig, SloReport, SloTracker};
 
@@ -29,11 +28,13 @@ pub struct ScenarioOutcome {
     pub scenario: String,
     /// Per-container SLO verdicts, in container order.
     pub reports: Vec<SloReport>,
-    /// The full growth-pro-rata blame ledger.
+    /// The full growth-pro-rata blame ledger, filled by
+    /// [`BlameLedger::observe`].
     pub blame: BlameLedger,
     /// The causal ledger: the same stall mass attributed from
-    /// reclaim-pressure provenance instead of growth coincidence.
-    pub causal: CausalLedger,
+    /// reclaim-pressure provenance instead of growth coincidence,
+    /// filled by [`BlameLedger::charge`].
+    pub causal: BlameLedger,
     /// Sum of per-container degradation scores.
     pub total_degradation: f64,
     /// Total kills across containers.
@@ -118,7 +119,7 @@ pub fn run_scenario(
             m.mm().cgroup_stat(cg).resident().as_u64() as f64
         })
         .collect();
-    let mut causal = CausalLedger::new(n);
+    let mut causal = BlameLedger::new(n);
     let mut charges: Vec<ProvenanceCharge> = Vec::new();
     let mut stalls = vec![SimDuration::ZERO; n];
     let mut psis = vec![0.0f64; n];

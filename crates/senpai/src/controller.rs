@@ -203,11 +203,6 @@ impl Senpai {
         }
     }
 
-    /// Convenience: decides for many containers at once.
-    pub fn decide_all(&self, signals: &[ContainerSignal]) -> Vec<ReclaimDecision> {
-        signals.iter().map(|s| self.decide(s)).collect()
-    }
-
     /// Applies the control law for a specific container, including its
     /// reclaim-failure backoff: after `n` consecutive failed reclaims
     /// the step is scaled by `2^-n` until one succeeds.
@@ -433,20 +428,5 @@ mod tests {
         assert!(s.due(SimTime::from_secs(6)));
         assert!(!s.due(SimTime::from_secs(7)));
         assert!(s.due(SimTime::from_secs(12)));
-    }
-
-    #[test]
-    fn decide_all_maps_each_signal() {
-        let s = senpai();
-        let out = s.decide_all(&[
-            calm(),
-            ContainerSignal {
-                protected: true,
-                ..calm()
-            },
-        ]);
-        assert_eq!(out.len(), 2);
-        assert!(out[0].reclaim > ByteSize::ZERO);
-        assert_eq!(out[1].reclaim, ByteSize::ZERO);
     }
 }

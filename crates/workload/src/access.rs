@@ -100,165 +100,6 @@ impl AccessTrace {
             next: 0,
         }
     }
-
-    /// An endless replay that wraps around at the end — useful for runs
-    /// longer than the recording.
-    pub fn replay_looped(&self) -> ReplayLooped<'_> {
-        ReplayLooped {
-            trace: self,
-            next: 0,
-        }
-    }
-
-    /// Serialises the trace as JSON:
-    /// `{"tick_nanos":N,"ticks":[[..],[..]]}`.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(32 + self.ticks.len() * 8);
-        out.push_str("{\"tick_nanos\":");
-        out.push_str(&self.tick_nanos.to_string());
-        out.push_str(",\"ticks\":[");
-        for (i, plan) in self.ticks.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('[');
-            for (j, count) in plan.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&count.to_string());
-            }
-            out.push(']');
-        }
-        out.push_str("]}");
-        out
-    }
-
-    /// Loads a trace from JSON produced by [`AccessTrace::to_json`]
-    /// (whitespace between tokens is tolerated).
-    ///
-    /// # Errors
-    ///
-    /// Returns a parse error message on malformed input.
-    pub fn from_json(json: &str) -> Result<Self, String> {
-        let mut p = JsonParser::new(json);
-        p.expect('{')?;
-        p.expect_key("tick_nanos")?;
-        let tick_nanos = p.parse_u64()?;
-        p.expect(',')?;
-        p.expect_key("ticks")?;
-        p.expect('[')?;
-        let mut ticks = Vec::new();
-        if !p.try_consume(']') {
-            loop {
-                p.expect('[')?;
-                let mut plan = TickPlan::new();
-                if !p.try_consume(']') {
-                    loop {
-                        plan.push(p.parse_u64()?);
-                        if p.try_consume(']') {
-                            break;
-                        }
-                        p.expect(',')?;
-                    }
-                }
-                ticks.push(plan);
-                if p.try_consume(']') {
-                    break;
-                }
-                p.expect(',')?;
-            }
-        }
-        p.expect('}')?;
-        p.expect_end()?;
-        Ok(AccessTrace { tick_nanos, ticks })
-    }
-}
-
-/// Minimal cursor over the fixed JSON shape `to_json` emits.
-struct JsonParser<'a> {
-    rest: &'a str,
-    offset: usize,
-}
-
-impl<'a> JsonParser<'a> {
-    fn new(input: &'a str) -> Self {
-        JsonParser {
-            rest: input,
-            offset: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        let trimmed = self.rest.trim_start();
-        self.offset += self.rest.len() - trimmed.len();
-        self.rest = trimmed;
-    }
-
-    fn err(&self, wanted: &str) -> String {
-        format!("expected {wanted} at byte {} of trace JSON", self.offset)
-    }
-
-    fn expect(&mut self, c: char) -> Result<(), String> {
-        if self.try_consume(c) {
-            Ok(())
-        } else {
-            Err(self.err(&format!("`{c}`")))
-        }
-    }
-
-    fn try_consume(&mut self, c: char) -> bool {
-        self.skip_ws();
-        match self.rest.strip_prefix(c) {
-            Some(rest) => {
-                self.offset += c.len_utf8();
-                self.rest = rest;
-                true
-            }
-            None => false,
-        }
-    }
-
-    fn expect_key(&mut self, key: &str) -> Result<(), String> {
-        self.skip_ws();
-        let quoted = format!("\"{key}\"");
-        match self.rest.strip_prefix(&quoted) {
-            Some(rest) => {
-                self.offset += quoted.len();
-                self.rest = rest;
-                self.expect(':')
-            }
-            None => Err(self.err(&format!("key {quoted}"))),
-        }
-    }
-
-    fn parse_u64(&mut self) -> Result<u64, String> {
-        self.skip_ws();
-        let digits = self.rest.len()
-            - self
-                .rest
-                .trim_start_matches(|c: char| c.is_ascii_digit())
-                .len();
-        if digits == 0 {
-            return Err(self.err("a number"));
-        }
-        let (num, rest) = self.rest.split_at(digits);
-        let value = num
-            .parse::<u64>()
-            .map_err(|e| format!("{} at byte {}", e, self.offset))?;
-        self.offset += digits;
-        self.rest = rest;
-        Ok(value)
-    }
-
-    fn expect_end(&mut self) -> Result<(), String> {
-        self.skip_ws();
-        if self.rest.is_empty() {
-            Ok(())
-        } else {
-            Err(self.err("end of input"))
-        }
-    }
 }
 
 /// Iterator over a trace's ticks.
@@ -273,26 +114,6 @@ impl<'a> Iterator for Replay<'a> {
 
     fn next(&mut self) -> Option<&'a TickPlan> {
         let item = self.trace.ticks.get(self.next)?;
-        self.next += 1;
-        Some(item)
-    }
-}
-
-/// Endless wrap-around iterator over a trace's ticks.
-#[derive(Debug, Clone)]
-pub struct ReplayLooped<'a> {
-    trace: &'a AccessTrace,
-    next: usize,
-}
-
-impl<'a> Iterator for ReplayLooped<'a> {
-    type Item = &'a TickPlan;
-
-    fn next(&mut self) -> Option<&'a TickPlan> {
-        if self.trace.ticks.is_empty() {
-            return None;
-        }
-        let item = &self.trace.ticks[self.next % self.trace.ticks.len()];
         self.next += 1;
         Some(item)
     }
@@ -339,33 +160,10 @@ mod tests {
     }
 
     #[test]
-    fn looped_replay_wraps() {
-        let trace = AccessTrace::from_ticks(tick(), vec![vec![1], vec![2], vec![3]]);
-        let firsts: Vec<u64> = trace.replay_looped().take(7).map(|p| p[0]).collect();
-        assert_eq!(firsts, vec![1, 2, 3, 1, 2, 3, 1]);
-    }
-
-    #[test]
-    fn looped_replay_of_empty_trace_ends() {
-        let trace = AccessTrace::from_ticks(tick(), Vec::new());
-        assert!(trace.is_empty());
-        assert_eq!(trace.replay_looped().next(), None);
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let p = planner();
-        let trace = AccessTrace::record(&p, tick(), 10, &mut DetRng::seed_from_u64(3));
-        let json = trace.to_json();
-        let back = AccessTrace::from_json(&json).expect("parses");
-        assert_eq!(trace, back);
-        assert!(AccessTrace::from_json("not json").is_err());
-    }
-
-    #[test]
     fn totals_match_sum_of_plans() {
         let trace = AccessTrace::from_ticks(tick(), vec![vec![5, 0], vec![2, 3], vec![0, 0]]);
         assert_eq!(trace.total_accesses(), 10);
         assert_eq!(trace.tick_len(), tick());
+        assert!(AccessTrace::from_ticks(tick(), Vec::new()).is_empty());
     }
 }

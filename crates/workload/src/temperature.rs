@@ -129,7 +129,7 @@ impl AccessPlanner {
     /// Uniformly samples `count` elements of `items` (with replacement)
     /// into `out`, clearing it first. Draws exactly one `rng.below` per
     /// sample, in plan order, so handing the batch to
-    /// `MemoryManager::access_batch_into` consumes the RNG stream
+    /// `MemoryManager::access_batch` consumes the RNG stream
     /// identically to a one-at-a-time access loop.
     pub fn sample_batch_into<T: Copy>(items: &[T], count: u64, rng: &mut DetRng, out: &mut Vec<T>) {
         out.clear();

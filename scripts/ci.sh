@@ -36,6 +36,13 @@ echo "==> blame ground truth: causal vs pro-rata differential (release)"
 # hosts twice (with and without the plant).
 cargo test --release -q --offline --test blame_ground_truth
 
+echo "==> benchmark package: build and test (release)"
+# benchmark/ is its own workspace, so `cargo test --workspace` never
+# compiles it, yet it calls the library APIs directly (run_scenario,
+# Machine::with_scratch, Senpai::decide_for, ...). Building and testing
+# it here makes an API change that breaks the benchmark fail CI.
+cargo test --release -q --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> tmo-lint: determinism contract gate"
 # Static determinism analysis (DESIGN.md "Determinism contract"): the
 # per-file rules (hash-ordered iteration, ambient wall-clock/entropy,

@@ -21,14 +21,14 @@
 //! regression shows up both here and as a byte diff in CI.
 
 use tmo::runner::FleetRunner;
-use tmo_experiments::ext_blame_validation::{build_host, planted_cases, run_config, simulate_with};
+use tmo_experiments::ext_blame_validation::{build_host, planted_cases, run_config, simulate};
 use tmo_experiments::Scale;
 use tmo_repro::{tmo, tmo_scenarios};
 use tmo_scenarios::prelude::*;
 
 #[test]
 fn causal_ledger_names_the_planted_offender_on_every_host() {
-    let cases = simulate_with(&FleetRunner::new(2), Scale::Quick);
+    let cases = simulate(&FleetRunner::new(2), Scale::Quick);
     assert!(!cases.is_empty());
     for c in &cases {
         assert!(c.hosts > 0, "no hosts survived {c:?}");
@@ -45,7 +45,7 @@ fn causal_ledger_names_the_planted_offender_on_every_host() {
 
 #[test]
 fn causal_ledger_strictly_beats_growth_pro_rata_on_edge_error() {
-    let cases = simulate_with(&FleetRunner::new(2), Scale::Quick);
+    let cases = simulate(&FleetRunner::new(2), Scale::Quick);
     let causal: f64 = cases.iter().map(|c| c.causal_err_secs).sum();
     let prorata: f64 = cases.iter().map(|c| c.prorata_err_secs).sum();
     assert!(
@@ -87,9 +87,9 @@ fn steady_hosts_accuse_no_one() {
 fn planted_verdicts_are_bit_identical_across_jobs() {
     // The provenance path is part of the sim: the whole differential
     // table must not care how many workers computed it.
-    let seq = simulate_with(&FleetRunner::sequential(), Scale::Quick);
+    let seq = simulate(&FleetRunner::sequential(), Scale::Quick);
     for jobs in [4usize, 8] {
-        let par = simulate_with(&FleetRunner::exact(jobs), Scale::Quick);
+        let par = simulate(&FleetRunner::exact(jobs), Scale::Quick);
         assert_eq!(seq, par, "ground-truth table diverged at jobs={jobs}");
     }
 }

@@ -47,7 +47,7 @@ fn claim_s4_1_savings_differ_by_backend_fit() {
 #[test]
 fn claim_s4_2_tmo_eliminates_memory_bound_rps_decay() {
     // Figure 11: the baseline tier decays; TMO's zswap tier does not.
-    let phases = fig11::simulate_with(&FleetRunner::default(), Scale::Quick);
+    let phases = fig11::simulate(&FleetRunner::default(), Scale::Quick);
     let drop = |p: &fig11::PhaseResult| 1.0 - p.late_rps / p.early_rps.max(1.0);
     assert!(drop(&phases[0]) - drop(&phases[2]) > 0.05);
 }
@@ -69,7 +69,7 @@ fn claim_s4_3_promotion_rate_contradicts_performance() {
 fn claim_s4_4_aggressive_config_regresses_through_io() {
     // Figure 13: Config B's damage shows up in IO pressure and the file
     // cache, not primarily in memory pressure.
-    let tiers = fig13::simulate_with(&FleetRunner::default(), Scale::Quick);
+    let tiers = fig13::simulate(&FleetRunner::default(), Scale::Quick);
     let (a, b) = (&tiers[1], &tiers[2]);
     assert!(b.io_pressure > a.io_pressure);
     assert!(b.ssd_read_iops > a.ssd_read_iops);

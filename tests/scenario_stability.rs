@@ -79,7 +79,7 @@ fn run_fleet(jobs: usize, scenario: &Scenario) -> Vec<ScenarioOutcome> {
                 scenario: format!("host {} failed: {}", e.host, e.message),
                 reports: Vec::new(),
                 blame: BlameLedger::new(0),
-                causal: CausalLedger::new(0),
+                causal: BlameLedger::new(0),
                 total_degradation: -1.0,
                 kills: 0,
                 stall_fraction: -1.0,
