@@ -93,6 +93,17 @@ echo "==> blame-validation smoke: ext_blame_validation --quick --jobs 4 vs golde
     | diff -u scripts/golden/ext_blame_validation_quick.txt - \
     || { echo "ext_blame_validation output drifted from scripts/golden/ext_blame_validation_quick.txt"; exit 1; }
 
+echo "==> recorder CSV: fig08 + fig11 --quick --csv vs golden checksums"
+# The CSV export is the recorder's whole observable surface: every
+# series name, sample time and value. fig08 mixes per-tick series with
+# the sparse Feed.reclaim_mib and swap.read_p90_ms series, so the
+# checksums pin both the strided and the explicit time storage.
+rm -rf target/csv_quick
+./target/release/repro --figure 8 --figure 11 --quick --jobs 4 --csv target/csv_quick >/dev/null 2>&1
+(cd target/csv_quick && sha256sum -- *) | LC_ALL=C sort -k 2 \
+    | diff -u scripts/golden/csv_quick.sha256 - \
+    || { echo "recorder CSV drifted from scripts/golden/csv_quick.sha256"; exit 1; }
+
 echo "==> bench smoke: scripts/bench.sh --smoke"
 # Compiles and exercises every benchmark with clamped sample counts and
 # validates the emitted BENCH_*.json against the required-benchmark
