@@ -127,6 +127,8 @@ pub struct Container {
     /// resolved (and the names formatted) once on the first recorded
     /// tick instead of on every tick.
     pub(crate) series: Option<ContainerSeriesIds>,
+    /// Cached recorder handles for this container's event series.
+    pub(crate) events: EventSeriesIds,
 }
 
 /// Recorder handles for one container's per-tick metric series.
@@ -143,6 +145,22 @@ pub(crate) struct ContainerSeriesIds {
     pub(crate) swapout_rate_mbps: SeriesId,
     /// Only web containers record `{name}.rps`.
     pub(crate) rps: Option<SeriesId>,
+}
+
+/// Recorder handles for one container's event series. Each is resolved
+/// on the container's first such event, so a series exists only once
+/// its event has happened, and a reclaim before the first tick creates
+/// no empty per-tick series.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct EventSeriesIds {
+    /// `{name}.reclaim_mib`: bytes asked of each `memory.reclaim` write.
+    pub(crate) reclaim_mib: Option<SeriesId>,
+    /// `{name}.reclaimed_pages`: pages each write actually reclaimed.
+    pub(crate) reclaimed_pages: Option<SeriesId>,
+    /// `{name}.killed`: one sample per kill.
+    pub(crate) killed: Option<SeriesId>,
+    /// `{name}.restarted`: one sample per restart.
+    pub(crate) restarted: Option<SeriesId>,
 }
 
 impl Container {

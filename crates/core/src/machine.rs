@@ -9,7 +9,9 @@ use tmo_senpai::{ContainerSignal, OomdSignal};
 use tmo_sim::{ByteSize, Clock, DetRng, Recorder, SeriesId, SimDuration, SimTime};
 use tmo_workload::{AccessPlanner, AppProfile, WebServerModel};
 
-use crate::container::{Container, ContainerConfig, ContainerId, ContainerSeriesIds, TickStats};
+use crate::container::{
+    Container, ContainerConfig, ContainerId, ContainerSeriesIds, EventSeriesIds, TickStats,
+};
 use crate::modulate::WorkloadModulator;
 
 /// Which offload backend the host's swap uses.
@@ -553,6 +555,7 @@ impl Machine {
             initial_resident_pages,
             last_tick: TickStats::default(),
             series: None,
+            events: EventSeriesIds::default(),
         });
         if cfg.protected {
             self.mm.set_priority(cg, tmo_mm::ReclaimPriority::Strict);
@@ -1203,9 +1206,7 @@ impl Machine {
     /// Proactively reclaims `bytes` from a container (the
     /// `memory.reclaim` write) and records the volume.
     pub fn reclaim(&mut self, id: ContainerId, bytes: ByteSize) -> ReclaimOutcome {
-        let c = &self.containers[id.0];
-        let name = c.name.clone();
-        let cg = c.cg;
+        let cg = self.containers[id.0].cg;
         // Proactive reclaim is pressure the target applies to itself
         // (the controller probes *its* cold memory), so evictions here
         // self-attribute rather than blaming a neighbour.
@@ -1214,13 +1215,11 @@ impl Machine {
         self.mm.set_reclaim_trigger(None);
         self.containers[id.0].swap_full_seen = outcome.swap_full;
         let now = self.clock.now();
+        let requested = self.event_series(id, |e| &mut e.reclaim_mib, "reclaim_mib");
+        self.recorder.record_id(requested, now, bytes.as_mib());
+        let reclaimed = self.event_series(id, |e| &mut e.reclaimed_pages, "reclaimed_pages");
         self.recorder
-            .record(&format!("{name}.reclaim_mib"), now, bytes.as_mib());
-        self.recorder.record(
-            &format!("{name}.reclaimed_pages"),
-            now,
-            outcome.reclaimed().as_u64() as f64,
-        );
+            .record_id(reclaimed, now, outcome.reclaimed().as_u64() as f64);
         outcome
     }
 
@@ -1233,8 +1232,9 @@ impl Machine {
         id: ContainerId,
         warmup_fraction: f64,
     ) -> Option<WorkingsetProfile> {
-        let name = self.containers[id.0].name.as_str();
-        let series = self.recorder.series(&format!("{name}.resident_mib"))?;
+        let series = self
+            .recorder
+            .get(self.containers[id.0].series?.resident_mib);
         if series.is_empty() {
             return None;
         }
@@ -1242,7 +1242,6 @@ impl Machine {
         let from = horizon * warmup_fraction.clamp(0.0, 1.0);
         let steady: Vec<f64> = series
             .samples()
-            .iter()
             .filter(|s| s.time_secs >= from)
             .map(|s| s.value)
             .collect();
@@ -1282,9 +1281,33 @@ impl Machine {
         c.leak_carry = 0.0;
         c.alive = false;
         c.growth_remaining_pages = 0;
-        let name = c.name.clone();
         let now = self.clock.now();
-        self.recorder.record(&format!("{name}.killed"), now, 1.0);
+        let killed = self.event_series(id, |e| &mut e.killed, "killed");
+        self.recorder.record_id(killed, now, 1.0);
+    }
+
+    /// How often the container has been killed (by oomd, crash churn or
+    /// a scenario storm), counted from its `{name}.killed` series.
+    pub fn kill_count(&self, id: ContainerId) -> u64 {
+        self.containers[id.0]
+            .events
+            .killed
+            .map_or(0, |killed| self.recorder.get(killed).len() as u64)
+    }
+
+    /// Resolves (and caches) the recorder handle for one of a
+    /// container's event series, `{name}.{suffix}`, creating the series
+    /// on the container's first such event.
+    fn event_series(
+        &mut self,
+        id: ContainerId,
+        slot: fn(&mut EventSeriesIds) -> &mut Option<SeriesId>,
+        suffix: &str,
+    ) -> SeriesId {
+        let c = &mut self.containers[id.0];
+        let recorder = &mut self.recorder;
+        *slot(&mut c.events)
+            .get_or_insert_with(|| recorder.series_id(&format!("{}.{suffix}", c.name)))
     }
 
     /// Restarts a killed container (crash churn): reallocates its full
@@ -1312,8 +1335,8 @@ impl Machine {
         c.alive = true;
         c.swap_full_seen = false;
         c.growth_remaining_pages = 0;
-        let name = c.name.clone();
-        self.recorder.record(&format!("{name}.restarted"), now, 1.0);
+        let restarted = self.event_series(id, |e| &mut e.restarted, "restarted");
+        self.recorder.record_id(restarted, now, 1.0);
         true
     }
 
@@ -1742,7 +1765,8 @@ mod tests {
         let name = m.container(id).name().to_string();
         let killed = m.recorder().series(&format!("{name}.killed"));
         let restarted = m.recorder().series(&format!("{name}.restarted"));
-        assert!(killed.is_some_and(|s| !s.is_empty()), "no kills recorded");
+        assert!(m.kill_count(id) > 0, "no kills recorded");
+        assert_eq!(killed.map(|s| s.len() as u64), Some(m.kill_count(id)));
         assert!(restarted.is_some_and(|s| !s.is_empty()), "no restarts");
         assert!(m.is_alive(id), "restart should leave the container live");
         assert!(m.container(id).last_tick().accesses > 0);

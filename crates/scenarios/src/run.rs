@@ -1,7 +1,6 @@
 //! Driving one host through one scenario and scoring the result.
 
 use tmo::prelude::*;
-use tmo_sim::Recorder;
 
 use crate::blame::{BlameAttribution, BlameLedger};
 use crate::engine::ScenarioEngine;
@@ -57,18 +56,6 @@ impl ScenarioOutcome {
     pub fn violated(&self) -> bool {
         self.reports.iter().any(|r| r.violated)
     }
-}
-
-/// Counts `{name}.killed` marks for every container, in order.
-fn kill_counts(recorder: &Recorder, names: &[String]) -> Vec<u64> {
-    names
-        .iter()
-        .map(|name| {
-            recorder
-                .series(&format!("{name}.killed"))
-                .map_or(0, |s| s.len() as u64)
-        })
-        .collect()
 }
 
 /// Runs `scenario` against an already-populated machine and scores it.
@@ -156,7 +143,10 @@ pub fn run_scenario(
 
     let mut machine = rt.into_machine();
     machine.clear_modulator();
-    let kills = kill_counts(machine.recorder(), &names);
+    let kills: Vec<u64> = machine
+        .container_ids()
+        .map(|id| machine.kill_count(id))
+        .collect();
     let reports = tracker.finish(scenario, &kills);
     let wall: f64 = reports.first().map_or(0.0, |r| r.wall_secs);
     let total_stall: f64 = reports.iter().map(|r| r.stall_secs).sum();

@@ -106,8 +106,9 @@ impl SloTracker {
     }
 
     /// Scores the run. `kills[i]` is how often container `i` was killed
-    /// (read it from the machine recorder's `{name}.killed` series so
-    /// oomd kills, crash churn, and storm kills all count).
+    /// (read it with `Machine::kill_count`, which counts the container's
+    /// `{name}.killed` series, so oomd kills, crash churn, and storm
+    /// kills all count).
     pub fn finish(&self, scenario: &Scenario, kills: &[u64]) -> Vec<SloReport> {
         assert_eq!(kills.len(), self.stall.len(), "kill sample width");
         let wall_secs = self.wall.as_secs_f64();

@@ -19,7 +19,14 @@ pub struct Sample {
     pub value: f64,
 }
 
-/// A named sequence of samples.
+/// A named sequence of samples, stored as columns.
+///
+/// Values live in one `Vec<f64>`. Times live in a time axis that
+/// costs nothing per sample while every pushed time falls on a fixed
+/// nanosecond stride (the per-tick series), and falls back to one
+/// `u64` per sample on the first push that breaks it (sparse event
+/// series). Either way a sample's `time_secs` is rebuilt as
+/// `SimTime::as_secs_f64` of the pushed time, bit for bit.
 ///
 /// # Example
 ///
@@ -35,7 +42,32 @@ pub struct Sample {
 #[derive(Debug, Clone, Default)]
 pub struct Series {
     name: String,
-    samples: Vec<Sample>,
+    times: TimeAxis,
+    values: Vec<f64>,
+}
+
+/// Sample times of a [`Series`], in integer simulated nanoseconds.
+///
+/// The stride test is exact integer arithmetic on `SimTime`
+/// nanoseconds: comparing rebuilt `f64` seconds instead would let
+/// rounding accept a time that is a nanosecond off the stride, and
+/// the rebuilt time would then differ from the pushed one.
+#[derive(Debug, Clone)]
+enum TimeAxis {
+    /// Sample `i` was pushed at `start_ns + i * step_ns`. With fewer
+    /// than two samples the unused fields are placeholders.
+    Stride { start_ns: u64, step_ns: u64 },
+    /// One pushed time per sample.
+    Explicit(Vec<u64>),
+}
+
+impl Default for TimeAxis {
+    fn default() -> Self {
+        TimeAxis::Stride {
+            start_ns: 0,
+            step_ns: 0,
+        }
+    }
 }
 
 impl Series {
@@ -43,7 +75,7 @@ impl Series {
     pub fn new(name: impl Into<String>) -> Self {
         Series {
             name: name.into(),
-            samples: Vec::new(),
+            ..Series::default()
         }
     }
 
@@ -54,51 +86,80 @@ impl Series {
 
     /// Appends a sample at `time`.
     pub fn push(&mut self, time: SimTime, value: f64) {
-        self.samples.push(Sample {
-            time_secs: time.as_secs_f64(),
-            value,
-        });
+        let ns = time.as_nanos();
+        let n = self.values.len() as u64;
+        if let TimeAxis::Stride { start_ns, step_ns } = &mut self.times {
+            let expected = n
+                .checked_mul(*step_ns)
+                .and_then(|offset| start_ns.checked_add(offset));
+            match n {
+                0 => *start_ns = ns,
+                1 if ns >= *start_ns => *step_ns = ns - *start_ns,
+                _ if expected == Some(ns) => {}
+                _ => {
+                    let (start, step) = (*start_ns, *step_ns);
+                    self.times = TimeAxis::Explicit((0..n).map(|i| start + i * step).collect());
+                }
+            }
+        }
+        if let TimeAxis::Explicit(times) = &mut self.times {
+            times.push(ns);
+        }
+        self.values.push(value);
+    }
+
+    /// Simulated nanoseconds of sample `i`.
+    fn time_ns(&self, i: usize) -> u64 {
+        match &self.times {
+            TimeAxis::Stride { start_ns, step_ns } => start_ns + i as u64 * step_ns,
+            TimeAxis::Explicit(times) => times[i],
+        }
+    }
+
+    /// Sample `i`, its time rebuilt exactly as `push` received it.
+    fn sample(&self, i: usize) -> Sample {
+        Sample {
+            time_secs: SimTime::from_nanos(self.time_ns(i)).as_secs_f64(),
+            value: self.values[i],
+        }
     }
 
     /// Number of samples.
     pub fn len(&self) -> usize {
-        self.samples.len()
+        self.values.len()
     }
 
     /// Whether the series holds no samples.
     pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
+        self.values.is_empty()
     }
 
     /// All samples in insertion (time) order.
-    pub fn samples(&self) -> &[Sample] {
-        &self.samples
+    pub fn samples(&self) -> impl ExactSizeIterator<Item = Sample> + '_ {
+        (0..self.len()).map(|i| self.sample(i))
     }
 
     /// Iterator over the values only.
     pub fn values(&self) -> impl Iterator<Item = f64> + '_ {
-        self.samples.iter().map(|s| s.value)
+        self.values.iter().copied()
     }
 
     /// The final value, or `None` when empty.
     pub fn last(&self) -> Option<f64> {
-        self.samples.last().map(|s| s.value)
+        self.values.last().copied()
     }
 
     /// Arithmetic mean of the values (0.0 when empty).
     pub fn mean(&self) -> f64 {
-        if self.samples.is_empty() {
+        if self.values.is_empty() {
             return 0.0;
         }
-        self.values().sum::<f64>() / self.samples.len() as f64
+        self.values().sum::<f64>() / self.values.len() as f64
     }
 
     /// Minimum value (0.0 when empty).
     pub fn min(&self) -> f64 {
-        self.values()
-            .fold(f64::INFINITY, f64::min)
-            .min(f64::INFINITY)
-            .pipe_finite()
+        self.values().fold(f64::INFINITY, f64::min).pipe_finite()
     }
 
     /// Maximum value (0.0 when empty).
@@ -116,10 +177,10 @@ impl Series {
     /// Panics in debug builds if `q` is outside `[0, 1]`.
     pub fn quantile(&self, q: f64) -> f64 {
         debug_assert!((0.0..=1.0).contains(&q), "quantile {q} out of range");
-        if self.samples.is_empty() {
+        if self.values.is_empty() {
             return 0.0;
         }
-        let mut vals: Vec<f64> = self.values().collect();
+        let mut vals = self.values.clone();
         vals.sort_by(|a, b| a.partial_cmp(b).expect("finite values"));
         let idx = ((vals.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
         vals[idx]
@@ -127,30 +188,30 @@ impl Series {
 
     /// Mean of the values whose sample time lies in `[from_secs, to_secs)`.
     pub fn mean_between(&self, from_secs: f64, to_secs: f64) -> f64 {
-        let window: Vec<f64> = self
-            .samples
-            .iter()
+        // -0.0 is the identity `f64: Sum` starts from, so this fold adds
+        // in the same order and to the same bits as summing the window.
+        let (sum, count) = self
+            .samples()
             .filter(|s| s.time_secs >= from_secs && s.time_secs < to_secs)
-            .map(|s| s.value)
-            .collect();
-        if window.is_empty() {
+            .fold((-0.0, 0usize), |(sum, count), s| (sum + s.value, count + 1));
+        if count == 0 {
             0.0
         } else {
-            window.iter().sum::<f64>() / window.len() as f64
+            sum / count as f64
         }
     }
 
     /// Downsamples to at most `n` evenly spaced samples (for printing).
     pub fn downsample(&self, n: usize) -> Vec<Sample> {
-        if n == 0 || self.samples.is_empty() {
+        if n == 0 || self.is_empty() {
             return Vec::new();
         }
-        if self.samples.len() <= n {
-            return self.samples.clone();
+        if self.len() <= n {
+            return self.samples().collect();
         }
-        let step = self.samples.len() as f64 / n as f64;
+        let step = self.len() as f64 / n as f64;
         (0..n)
-            .map(|i| self.samples[(i as f64 * step) as usize])
+            .map(|i| self.sample((i as f64 * step) as usize))
             .collect()
     }
 }
@@ -230,6 +291,11 @@ impl Recorder {
         self.record_id(id, time, value);
     }
 
+    /// The series behind `id`.
+    pub fn get(&self, id: SeriesId) -> &Series {
+        &self.slots[id.0]
+    }
+
     /// Looks up a series by name.
     pub fn series(&self, name: &str) -> Option<&Series> {
         self.index.get(name).map(|&slot| &self.slots[slot])
@@ -250,8 +316,8 @@ impl Recorder {
         for s in other.iter() {
             let name = format!("{prefix}.{}", s.name());
             let id = self.series_id(&name);
-            for sample in s.samples() {
-                self.slots[id.0].samples.push(*sample);
+            for (i, value) in s.values().enumerate() {
+                self.slots[id.0].push(SimTime::from_nanos(s.time_ns(i)), value);
             }
         }
     }
