@@ -8,7 +8,7 @@ use std::hint::black_box;
 use tmo_backends::{IoKind, OffloadBackend, SsdModel, ZswapAllocator, ZswapPool};
 use tmo_mm::{MemoryManager, MmConfig, PageKind, ReclaimPolicy};
 use tmo_psi::state::{StateTracker, TaskId};
-use tmo_psi::{IntervalSet, PsiGroup, Resource, TaskObservation};
+use tmo_psi::{IntervalSet, PsiGroup, Resource, SpanBatch};
 use tmo_sim::rng::Zipf;
 use tmo_sim::stats::P2Quantile;
 use tmo_sim::{ByteSize, DetRng, SimDuration, SimTime};
@@ -16,30 +16,21 @@ use tmo_workload::{AccessPlanner, AccessTrace, TemperatureClass};
 
 fn psi_observe(c: &mut Criterion) {
     let mut group = c.benchmark_group("psi");
-    // 8 tasks, each with a handful of stall intervals, per window.
+    // 8 tasks, each with a handful of stall intervals, per window: the
+    // per-window update a machine tick pays for one PSI domain.
     group.bench_function("observe_8_tasks", |b| {
-        let mut psi = PsiGroup::new(8);
+        let mut psi = PsiGroup::new();
         let window = SimDuration::from_millis(100);
-        let tasks: Vec<TaskObservation> = (0..8)
-            .map(|i| {
-                let mut t = TaskObservation::non_idle();
-                let base = i * 1_000_000;
-                t.stall(
-                    Resource::Memory,
-                    IntervalSet::from_spans(&[
-                        (base, base + 400_000),
-                        (base + 10_000_000, base + 10_400_000),
-                    ]),
-                );
-                t.stall(
-                    Resource::Io,
-                    IntervalSet::from_spans(&[(base + 5_000_000, base + 5_300_000)]),
-                );
-                t
-            })
-            .collect();
+        let mut batch = SpanBatch::new();
+        for i in 0..8 {
+            let base = i * 1_000_000;
+            batch.push_non_idle_task();
+            batch.push_span(Resource::Memory, base, base + 400_000);
+            batch.push_span(Resource::Memory, base + 10_000_000, base + 10_400_000);
+            batch.push_span(Resource::Io, base + 5_000_000, base + 5_300_000);
+        }
         b.iter(|| {
-            psi.observe(window, black_box(&tasks));
+            psi.observe(window, black_box(&batch));
             black_box(psi.some_avg10(Resource::Memory))
         })
     });

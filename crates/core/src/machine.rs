@@ -57,7 +57,7 @@ pub struct MachineConfig {
     pub dram: ByteSize,
     /// Simulated page granularity.
     pub page_size: ByteSize,
-    /// CPU count (bounds PSI compute potential).
+    /// CPU count: the capacity that sizes CPU contention stalls.
     pub cpus: u32,
     /// Swap backend.
     pub swap: SwapKind,
@@ -221,7 +221,7 @@ struct MachineSeriesIds {
     free_mib: SeriesId,
     zswap_pool_mib: SeriesId,
     fs_read_iops: SeriesId,
-    /// `None` when the swap backend is not an SSD (series never exists).
+    /// `None` when the host has no swap backend (series never exists).
     swap_write_mbps: Option<SeriesId>,
     swap_read_iops: Option<SeriesId>,
 }
@@ -315,7 +315,6 @@ impl Machine {
         });
         let clock = Clock::new(config.tick);
         let rng = seed_rng.fork(2);
-        let cpus = config.cpus;
         let host_faults = faults.map(|fc| HostFaults::new(config.seed, 0, fc));
         Machine {
             config,
@@ -326,7 +325,7 @@ impl Machine {
             recorder: Recorder::new(),
             prev_fs_reads: 0,
             prev_swap_reads: 0,
-            host_psi: PsiGroup::new(cpus),
+            host_psi: PsiGroup::new(),
             swap_lat_p50: tmo_sim::P2Quantile::new(0.5),
             swap_lat_p90: tmo_sim::P2Quantile::new(0.9),
             swap_lat_p99: tmo_sim::P2Quantile::new(0.99),
@@ -533,7 +532,7 @@ impl Machine {
             profile: profile.clone(),
             planner,
             class_pages,
-            psi: PsiGroup::new(self.config.cpus),
+            psi: PsiGroup::new(),
             web: cfg.web.map(WebServerModel::new),
             growth_remaining_pages: growth_remaining,
             growth_pages_per_sec,
@@ -613,7 +612,7 @@ impl Machine {
             }
             self.containers[ci].last_tick = *stats;
         }
-        self.host_psi.observe_batch(dt, &host_batch);
+        self.host_psi.observe(dt, &host_batch);
 
         self.mm.tick(dt);
         self.record_tick(now, &mut swap_latencies);
@@ -927,10 +926,8 @@ impl Machine {
     /// construction. The spans go into two packed batches at once — the
     /// container's own (cleared here, observed at the end) and the
     /// machine-wide one the caller accumulates across containers — so
-    /// neither domain allocates per-task observation structs. The RNG
-    /// draw order and count are identical to the former per-observation
-    /// form: one `below` draw per nonzero stall share, resources in
-    /// (Memory, Io, Cpu) order per task.
+    /// neither domain allocates. The RNG draws one `below` per nonzero
+    /// stall share, resources in (Memory, Io, Cpu) order per task.
     fn feed_psi(
         &mut self,
         ci: usize,
@@ -978,7 +975,7 @@ impl Machine {
                 }
             }
         }
-        self.containers[ci].psi.observe_batch(dt, container_batch);
+        self.containers[ci].psi.observe(dt, container_batch);
     }
 
     /// Resolves (and caches) the recorder handles for one container's
@@ -1054,15 +1051,15 @@ impl Machine {
         let machine_ids = match self.machine_series {
             Some(ids) => ids,
             None => {
-                let has_swap_ssd = self.mm.swap_ssd().is_some();
+                let has_swap = self.mm.swap().is_some();
                 let rec = &mut self.recorder;
                 let ids = MachineSeriesIds {
                     psi_mem_some10: rec.series_id("machine.psi_mem_some10"),
                     free_mib: rec.series_id("machine.free_mib"),
                     zswap_pool_mib: rec.series_id("machine.zswap_pool_mib"),
                     fs_read_iops: rec.series_id("fs.read_iops"),
-                    swap_write_mbps: has_swap_ssd.then(|| rec.series_id("swap.write_mbps")),
-                    swap_read_iops: has_swap_ssd.then(|| rec.series_id("swap.read_iops")),
+                    swap_write_mbps: has_swap.then(|| rec.series_id("swap.write_mbps")),
+                    swap_read_iops: has_swap.then(|| rec.series_id("swap.read_iops")),
                 };
                 self.machine_series = Some(ids);
                 ids
@@ -1088,11 +1085,11 @@ impl Machine {
             (fs_reads - self.prev_fs_reads) as f64 / dt_secs,
         );
         self.prev_fs_reads = fs_reads;
-        if let Some(swap) = self.mm.swap_ssd() {
+        if let Some(swap) = self.mm.swap() {
             let write_mbps = swap.write_rate_mbps();
             let reads = swap.stats().reads;
-            let write_id = machine_ids.swap_write_mbps.expect("cached with SSD swap");
-            let read_id = machine_ids.swap_read_iops.expect("cached with SSD swap");
+            let write_id = machine_ids.swap_write_mbps.expect("cached with swap");
+            let read_id = machine_ids.swap_read_iops.expect("cached with swap");
             self.recorder.record_id(write_id, now, write_mbps);
             self.recorder.record_id(
                 read_id,
@@ -1131,11 +1128,7 @@ impl Machine {
     /// Assembles the Senpai view of one container.
     pub fn senpai_signal(&self, id: ContainerId) -> ContainerSignal {
         let c = &self.containers[id.0];
-        let swap_write_mbps = self
-            .mm
-            .swap_ssd()
-            .map(|s| s.write_rate_mbps())
-            .unwrap_or(0.0);
+        let swap_write_mbps = self.mm.swap().map(|s| s.write_rate_mbps()).unwrap_or(0.0);
         ContainerSignal {
             current_mem: self.mm.memory_current(c.cg),
             mem_some_avg10: c.psi.some_avg10(Resource::Memory),
@@ -1276,7 +1269,6 @@ impl Machine {
         let c = &mut self.containers[id.0];
         c.class_pages.iter_mut().for_each(Vec::clear);
         c.churn_pages.clear();
-        c.churn_pages_per_sec = 0.0;
         c.leak_pages.clear();
         c.leak_carry = 0.0;
         c.alive = false;
@@ -1586,6 +1578,34 @@ mod tests {
         m.run(SimDuration::from_secs(1));
         let junk_left = m.container(id).churn_pages.len() as u64;
         assert!(junk_left < 1000, "junk pages left: {junk_left}");
+    }
+
+    #[test]
+    fn restarted_container_resumes_its_file_churn() {
+        let mut m = Machine::new(MachineConfig {
+            dram: ByteSize::from_mib(256),
+            ..MachineConfig::default()
+        });
+        let id = m.add_container_with(
+            &small_profile(),
+            ContainerConfig {
+                file_churn: Some(ByteSize::from_mib(1)),
+                ..ContainerConfig::default()
+            },
+        );
+        m.run(SimDuration::from_secs(5));
+        let before = m.container(id).churn_pages.len();
+        assert!(before > 0);
+        m.kill_container(id);
+        assert!(m.container(id).churn_pages.is_empty());
+        assert!(m.restart_container(id));
+        m.run(SimDuration::from_secs(5));
+        // Same rate, same span: the restarted container churns as much.
+        let after = m.container(id).churn_pages.len();
+        assert!(
+            after * 2 >= before,
+            "churned {before} pages, then {after} after restart"
+        );
     }
 
     #[test]

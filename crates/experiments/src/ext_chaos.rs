@@ -149,7 +149,7 @@ pub fn run_host_with_scratch(
         lost_loads: m.mm().global_stat().lost_loads,
         faults_injected: stats.faults_injected,
         io_errors: stats.io_errors,
-        swap_dead: m.mm().swap_ssd().is_some_and(|s| s.is_dead()),
+        swap_dead: m.mm().swap().is_some_and(|s| s.is_dead()),
     };
     (report, rt.into_machine().into_scratch())
 }

@@ -6,7 +6,7 @@
 //! experiment replays that exact trace through the PSI engine and
 //! verifies the accounting.
 
-use tmo_psi::{render_pressure_file, IntervalSet, PsiGroup, Resource, TaskObservation};
+use tmo_psi::{render_pressure_file, IntervalSet, PsiGroup, Resource, SpanBatch};
 use tmo_sim::SimDuration;
 
 use crate::report::{pct, ExperimentOutput};
@@ -54,15 +54,19 @@ fn quarter_trace(q: u32) -> (IntervalSet, IntervalSet) {
 /// Replays the trace, returning per-quarter rows and the final pressure
 /// state.
 pub fn replay() -> (Vec<QuarterRow>, PsiGroup) {
-    let mut psi = PsiGroup::new(2);
+    let mut psi = PsiGroup::new();
+    let mut batch = SpanBatch::new();
     let mut rows = Vec::new();
     for q in 1..=4 {
         let (a_stalls, b_stalls) = quarter_trace(q);
-        let mut a = TaskObservation::non_idle();
-        a.stall(Resource::Memory, a_stalls);
-        let mut b = TaskObservation::non_idle();
-        b.stall(Resource::Memory, b_stalls);
-        psi.observe(SimDuration::from_nanos(QUARTER), &[a, b]);
+        batch.clear();
+        for stalls in [a_stalls, b_stalls] {
+            batch.push_non_idle_task();
+            for iv in stalls.intervals() {
+                batch.push_span(Resource::Memory, iv.start, iv.end);
+            }
+        }
+        psi.observe(SimDuration::from_nanos(QUARTER), &batch);
         let snap = psi.snapshot(Resource::Memory);
         rows.push(QuarterRow {
             quarter: q,

@@ -455,8 +455,9 @@ impl MemoryManager {
         &self.fs
     }
 
-    /// The swap device if it is an SSD (for §4.5 write-rate inspection).
-    pub fn swap_ssd(&self) -> Option<&dyn OffloadBackend> {
+    /// The swap backend, if the host has one — zswap, SSD, NVM or tiered
+    /// (for §4.5 write-rate and device-health inspection).
+    pub fn swap(&self) -> Option<&dyn OffloadBackend> {
         self.swap.as_deref()
     }
 

@@ -13,9 +13,9 @@
 //!   *all* non-idle tasks were stalled simultaneously — completely
 //!   unproductive time.
 //!
-//! The engine is *exact*: per observation window, each task reports the
-//! intervals during which it was stalled, and `some`/`full` are computed
-//! as the measure of the union / intersection of those interval sets
+//! The engine is *exact*: per observation window, every non-idle task's
+//! stall intervals arrive in one [`SpanBatch`], and `some`/`full` are
+//! computed as the measure of the union / intersection of those sets
 //! ([`intervals`]). Totals accumulate in nanoseconds and are folded into
 //! avg10 / avg60 / avg300 exponential running averages, mirroring the
 //! kernel's `/proc/pressure/*` files ([`avg`], [`render`]).
@@ -23,19 +23,19 @@
 //! # Example
 //!
 //! ```
-//! use tmo_psi::{IntervalSet, PsiGroup, Resource, TaskObservation};
+//! use tmo_psi::{PsiGroup, Resource, SpanBatch};
 //! use tmo_sim::SimDuration;
 //!
-//! let mut psi = PsiGroup::new(4); // a 4-CPU domain
+//! let mut psi = PsiGroup::new();
 //! let window = SimDuration::from_secs(1);
 //!
-//! // One task stalled on memory for 100 ms of the 1 s window.
-//! let mut task = TaskObservation::non_idle();
-//! task.stall(
-//!     Resource::Memory,
-//!     IntervalSet::from_spans(&[(0, 100_000_000)]),
-//! );
-//! psi.observe(window, &[task, TaskObservation::non_idle()]);
+//! // Two non-idle tasks; the first stalled on memory for 100 ms of the
+//! // 1 s window.
+//! let mut batch = SpanBatch::new();
+//! batch.push_non_idle_task();
+//! batch.push_span(Resource::Memory, 0, 100_000_000);
+//! batch.push_non_idle_task();
+//! psi.observe(window, &batch);
 //!
 //! let snap = psi.snapshot(Resource::Memory);
 //! assert!((snap.some_ratio_last_window - 0.1).abs() < 1e-9);
@@ -47,10 +47,8 @@ pub mod group;
 pub mod intervals;
 pub mod render;
 pub mod state;
-pub mod triggers;
 
 pub use avg::RunningAvg;
-pub use group::{PsiGroup, PsiSnapshot, Resource, SpanBatch, TaskObservation};
+pub use group::{PsiGroup, PsiSnapshot, Resource, SpanBatch};
 pub use intervals::{Interval, IntervalSet, SweepScratch};
 pub use render::render_pressure_file;
-pub use triggers::{Trigger, TriggerKind};

@@ -19,7 +19,7 @@ use crate::group::PsiSnapshot;
 /// ```
 /// use tmo_psi::{PsiGroup, Resource, render_pressure_file};
 ///
-/// let psi = PsiGroup::new(4);
+/// let psi = PsiGroup::new();
 /// let text = render_pressure_file(&psi.snapshot(Resource::Memory));
 /// assert!(text.starts_with("some avg10=0.00"));
 /// assert!(text.lines().nth(1).expect("two lines").starts_with("full"));
@@ -63,13 +63,12 @@ pub fn parse_pressure_line(line: &str) -> Option<(f64, f64, f64, u64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::group::{PsiGroup, Resource, TaskObservation};
-    use crate::intervals::IntervalSet;
+    use crate::group::{PsiGroup, Resource, SpanBatch};
     use tmo_sim::SimDuration;
 
     #[test]
     fn render_zero_pressure() {
-        let psi = PsiGroup::new(1);
+        let psi = PsiGroup::new();
         let text = render_pressure_file(&psi.snapshot(Resource::Io));
         assert_eq!(
             text,
@@ -80,13 +79,11 @@ mod tests {
 
     #[test]
     fn render_and_parse_round_trip() {
-        let mut psi = PsiGroup::new(1);
-        let mut t = TaskObservation::non_idle();
-        t.stall(
-            Resource::Memory,
-            IntervalSet::from_spans(&[(0, 500_000_000)]),
-        );
-        psi.observe(SimDuration::from_secs(1), &[t]);
+        let mut psi = PsiGroup::new();
+        let mut batch = SpanBatch::new();
+        batch.push_non_idle_task();
+        batch.push_span(Resource::Memory, 0, 500_000_000);
+        psi.observe(SimDuration::from_secs(1), &batch);
         let snap = psi.snapshot(Resource::Memory);
         let text = render_pressure_file(&snap);
         let some_line = text.lines().next().expect("some line");

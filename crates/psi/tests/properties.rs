@@ -2,7 +2,7 @@
 //! invariants.
 
 use proptest::prelude::*;
-use tmo_psi::{intervals, IntervalSet, PsiGroup, Resource, TaskObservation};
+use tmo_psi::{intervals, IntervalSet, PsiGroup, Resource, SpanBatch};
 use tmo_sim::SimDuration;
 
 const WINDOW_NS: u64 = 1_000_000_000;
@@ -13,6 +13,26 @@ fn arb_spans() -> impl Strategy<Value = Vec<(u64, u64)>> {
 
 fn arb_task_spans() -> impl Strategy<Value = Vec<Vec<(u64, u64)>>> {
     prop::collection::vec(arb_spans(), 1..6)
+}
+
+/// One window's batch: a non-idle task per interval set, its
+/// (normalised, hence disjoint) intervals stalled on `resource`.
+fn batch_of(sets: &[IntervalSet], resource: Resource) -> SpanBatch {
+    let mut batch = SpanBatch::new();
+    for set in sets {
+        batch.push_non_idle_task();
+        for iv in set.intervals() {
+            batch.push_span(resource, iv.start, iv.end);
+        }
+    }
+    batch
+}
+
+fn normalised(task_spans: &[Vec<(u64, u64)>]) -> Vec<IntervalSet> {
+    task_spans
+        .iter()
+        .map(|spans| IntervalSet::from_spans(spans))
+        .collect()
 }
 
 proptest! {
@@ -85,16 +105,9 @@ proptest! {
 
     #[test]
     fn psi_full_never_exceeds_some(task_spans in arb_task_spans()) {
-        let mut psi = PsiGroup::new(4);
-        let tasks: Vec<TaskObservation> = task_spans
-            .iter()
-            .map(|spans| {
-                let mut t = TaskObservation::non_idle();
-                t.stall(Resource::Memory, IntervalSet::from_spans(spans));
-                t
-            })
-            .collect();
-        psi.observe(SimDuration::from_nanos(WINDOW_NS), &tasks);
+        let mut psi = PsiGroup::new();
+        let batch = batch_of(&normalised(&task_spans), Resource::Memory);
+        psi.observe(SimDuration::from_nanos(WINDOW_NS), &batch);
         let snap = psi.snapshot(Resource::Memory);
         prop_assert!(snap.full_ratio_last_window <= snap.some_ratio_last_window + 1e-12);
         prop_assert!(snap.some_ratio_last_window <= 1.0 + 1e-12);
@@ -103,40 +116,27 @@ proptest! {
 
     #[test]
     fn psi_some_total_equals_union_measure(task_spans in arb_task_spans()) {
-        let mut psi = PsiGroup::new(4);
-        let sets: Vec<IntervalSet> = task_spans
-            .iter()
-            .map(|spans| IntervalSet::from_spans(spans).clip(WINDOW_NS))
-            .collect();
-        let tasks: Vec<TaskObservation> = sets
-            .iter()
-            .map(|s| {
-                let mut t = TaskObservation::non_idle();
-                t.stall(Resource::Memory, s.clone());
-                t
-            })
-            .collect();
-        psi.observe(SimDuration::from_nanos(WINDOW_NS), &tasks);
-        let expected = intervals::union_all(sets.iter()).total_len();
-        prop_assert_eq!(
-            psi.snapshot(Resource::Memory).some_total,
-            SimDuration::from_nanos(expected)
+        // Unclipped spans go in: the observe path clips them itself.
+        let mut psi = PsiGroup::new();
+        let sets = normalised(&task_spans);
+        psi.observe(
+            SimDuration::from_nanos(WINDOW_NS),
+            &batch_of(&sets, Resource::Memory),
         );
+        let clipped: Vec<IntervalSet> = sets.iter().map(|s| s.clip(WINDOW_NS)).collect();
+        let union = intervals::union_all(clipped.iter()).total_len();
+        let inter = intervals::intersect_all(clipped.iter()).map_or(0, |s| s.total_len());
+        let snap = psi.snapshot(Resource::Memory);
+        prop_assert_eq!(snap.some_total, SimDuration::from_nanos(union));
+        prop_assert_eq!(snap.full_total, SimDuration::from_nanos(inter));
     }
 
     #[test]
     fn adding_an_unstalled_task_kills_full(task_spans in arb_task_spans()) {
-        let mut with_idle_runner = PsiGroup::new(4);
-        let mut tasks: Vec<TaskObservation> = task_spans
-            .iter()
-            .map(|spans| {
-                let mut t = TaskObservation::non_idle();
-                t.stall(Resource::Io, IntervalSet::from_spans(spans));
-                t
-            })
-            .collect();
-        tasks.push(TaskObservation::non_idle()); // never stalls
-        with_idle_runner.observe(SimDuration::from_nanos(WINDOW_NS), &tasks);
+        let mut with_idle_runner = PsiGroup::new();
+        let mut batch = batch_of(&normalised(&task_spans), Resource::Io);
+        batch.push_non_idle_task(); // never stalls
+        with_idle_runner.observe(SimDuration::from_nanos(WINDOW_NS), &batch);
         prop_assert_eq!(
             with_idle_runner
                 .snapshot(Resource::Io)

@@ -64,6 +64,14 @@ echo "==> tmo-lint --allows vs golden"
     | diff -u scripts/golden/lint_clean.txt - \
     || { echo "lint allow inventory drifted from scripts/golden/lint_clean.txt"; exit 1; }
 
+echo "==> PSI worked example: figure 7 --quick vs golden"
+# Figure 7 replays the paper's two-process some/full trace through
+# PsiGroup::observe; the quarter table and the rendered
+# /proc/pressure/memory lines pin the PSI accounting and its averages.
+./target/release/repro --figure 7 --quick 2>/dev/null \
+    | diff -u scripts/golden/fig07.txt - \
+    || { echo "figure 7 output drifted from scripts/golden/fig07.txt"; exit 1; }
+
 echo "==> chaos smoke: ext_chaos --quick --jobs 4 vs golden"
 # Fault schedules are pure hashes of (seed, host index, tick), so the
 # quick chaos sweep's stdout is byte-stable across runs and worker
