@@ -194,12 +194,11 @@ impl OffloadBackend for TieredBackend {
         let (tier, out) = if compress_ratio >= self.min_compress_ratio {
             if self.warm.is_dead() {
                 // Warm tier died: fail over to the SSD (§5.2 hierarchy
-                // degrades zswap → SSD → no-offload).
+                // degrades zswap → SSD → no-offload). Only a store the
+                // SSD accepts counts as redirected.
+                let out = self.cold.store(page_bytes, compress_ratio, rng)?;
                 self.failovers += 1;
-                (
-                    Tier::Cold,
-                    self.cold.store(page_bytes, compress_ratio, rng)?,
-                )
+                (Tier::Cold, out)
             } else {
                 match self.warm.store(page_bytes, compress_ratio, rng) {
                     Some(out) => (Tier::Warm, out),
@@ -440,6 +439,22 @@ mod tests {
         assert!(t.discard(cold.token));
         assert!(!t.discard(warm.token));
         assert_eq!(t.stats().pages_stored, 0);
+    }
+
+    #[test]
+    fn failover_counts_only_stores_the_ssd_accepts() {
+        let mut rng = DetRng::seed_from_u64(8);
+        // Warm tier dead, SSD alive: the store is redirected.
+        let mut t = tiered(64, 600);
+        t.inject(DeviceFault::Die);
+        t.store(PAGE, 4.0, &mut rng).expect("fails over to the SSD");
+        assert_eq!(t.stats().failovers, 1);
+        // Both tiers dead: the store fails and nothing was redirected.
+        let mut t = tiered(64, 600);
+        t.inject(DeviceFault::Die);
+        t.inject(DeviceFault::Die);
+        assert!(t.store(PAGE, 4.0, &mut rng).is_none());
+        assert_eq!(t.stats().failovers, 0);
     }
 
     #[test]

@@ -12,7 +12,7 @@ use tmo_psi::{IntervalSet, PsiGroup, Resource, SpanBatch};
 use tmo_sim::rng::Zipf;
 use tmo_sim::stats::P2Quantile;
 use tmo_sim::{ByteSize, DetRng, SimDuration, SimTime};
-use tmo_workload::{AccessPlanner, AccessTrace, TemperatureClass};
+use tmo_workload::{AccessPlanner, TemperatureClass};
 
 fn psi_observe(c: &mut Criterion) {
     let mut group = c.benchmark_group("psi");
@@ -177,24 +177,12 @@ fn streaming_stats(c: &mut Criterion) {
     group.finish();
 }
 
-fn trace_replay(c: &mut Criterion) {
+fn planner_plan(c: &mut Criterion) {
     let mut group = c.benchmark_group("workload");
     let planner = AccessPlanner::new(
         vec![TemperatureClass::new(1.0, SimDuration::from_secs(10))],
         65_536,
     );
-    let trace = AccessTrace::record(
-        &planner,
-        SimDuration::from_millis(100),
-        1000,
-        &mut DetRng::seed_from_u64(7),
-    );
-    group.bench_function("trace_replay_1000_ticks", |b| {
-        b.iter(|| {
-            let total: u64 = black_box(&trace).replay().flatten().sum();
-            black_box(total)
-        })
-    });
     group.bench_function("planner_plan", |b| {
         let mut rng = DetRng::seed_from_u64(8);
         b.iter(|| black_box(planner.plan(SimDuration::from_millis(100), &mut rng)))
@@ -291,7 +279,7 @@ criterion_group!(
     psi_observe,
     psi_state_tracker,
     streaming_stats,
-    trace_replay,
+    planner_plan,
     mm_paths,
     backend_latency,
     rng_sampling,

@@ -42,7 +42,6 @@ pub const REQUIRED_MICRO: &[(&str, &str)] = &[
     ("psi", "interval_union_64"),
     ("psi", "state_tracker_transition"),
     ("stats", "p2_quantile_observe"),
-    ("workload", "trace_replay_1000_ticks"),
     ("workload", "planner_plan"),
     ("mm", "access_resident_page"),
     ("mm", "access_4096_resident"),

@@ -40,17 +40,6 @@ pub struct ContainerConfig {
     pub memory_low: Option<ByteSize>,
     /// Parent slice cgroup to attach under (root when `None`).
     pub slice: Option<tmo_mm::CgroupId>,
-    /// Replay this pre-recorded access trace instead of sampling the
-    /// temperature planner — pins the workload stream exactly across
-    /// A/B tiers (wraps around if the run outlives the trace).
-    pub trace: Option<tmo_workload::AccessTrace>,
-    /// Scale access intensity (and web demand) with a time-of-day curve.
-    pub diurnal: Option<tmo_workload::DiurnalPattern>,
-    /// Pathological file-cache churn (the §5.1 self-extracting-binary
-    /// anecdote): create this many bytes of file cache per second that
-    /// are written once and never read again. Evicted churn pages are
-    /// dropped entirely (the file was replaced).
-    pub file_churn: Option<ByteSize>,
     /// Mark as relaxed-SLA (memory tax; tolerate higher pressure).
     pub relaxed: bool,
 }
@@ -104,12 +93,6 @@ pub struct Container {
     pub(crate) swap_full_seen: bool,
     /// False once the container has been killed.
     pub(crate) alive: bool,
-    /// Pinned access trace, when configured.
-    pub(crate) trace: Option<tmo_workload::AccessTrace>,
-    /// Time-of-day demand curve, when configured.
-    pub(crate) diurnal: Option<tmo_workload::DiurnalPattern>,
-    /// File-cache churn rate in pages/second (0 = none).
-    pub(crate) churn_pages_per_sec: f64,
     /// Fractional churn carry between ticks.
     pub(crate) churn_carry: f64,
     /// Write-once never-read file pages created by the churn.
@@ -194,25 +177,9 @@ impl Container {
         self.last_tick
     }
 
-    /// Whether the container is protected from proactive reclaim.
-    pub fn is_protected(&self) -> bool {
-        self.protected
-    }
-
-    /// Whether the container has a relaxed SLA.
-    pub fn is_relaxed(&self) -> bool {
-        self.relaxed
-    }
-
     /// Whether the container is still running (not killed).
     pub fn is_alive(&self) -> bool {
         self.alive
-    }
-
-    /// Pages currently held by the scenario leak model (resident or
-    /// offloaded; released on kill).
-    pub fn leaked_pages(&self) -> usize {
-        self.leak_pages.len()
     }
 }
 

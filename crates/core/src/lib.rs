@@ -76,5 +76,5 @@ pub mod prelude {
     pub use tmo_psi::Resource;
     pub use tmo_senpai::{OomdConfig, PolicyMap, SenpaiConfig};
     pub use tmo_sim::{ByteSize, SimDuration, SimTime};
-    pub use tmo_workload::{apps, tax, AccessTrace, AppProfile, DiurnalPattern, WebServerConfig};
+    pub use tmo_workload::{apps, tax, AppProfile, WebServerConfig};
 }

@@ -541,12 +541,6 @@ impl Machine {
             relaxed: cfg.relaxed,
             swap_full_seen: false,
             alive: true,
-            trace: cfg.trace,
-            diurnal: cfg.diurnal,
-            churn_pages_per_sec: cfg
-                .file_churn
-                .map(|rate| rate.as_u64() as f64 / self.config.page_size.as_u64() as f64)
-                .unwrap_or(0.0),
             churn_carry: 0.0,
             churn_pages: Vec::new(),
             leak_pages: Vec::new(),
@@ -781,16 +775,14 @@ impl Machine {
         // 1b. Pathological file-cache churn (§5.1): write-once file
         // pages accumulate; pages the kernel has since evicted are
         // dropped for good (their content was replaced), page structs
-        // and all. A scenario modulator can add a sidecar-tax spike on
-        // top of the configured rate; with no modulator and no
-        // configured churn this whole step is untouched dead code, so
-        // the pre-scenario tick path stays byte-identical.
+        // and all. The churn rate comes from the workload modulator (a
+        // scenario's sidecar-tax spike); with no modulator this whole
+        // step is untouched dead code.
         let page_bytes = self.config.page_size.as_u64() as f64;
-        let churn_pages_per_sec = self.containers[ci].churn_pages_per_sec
-            + match &self.modulator {
-                Some(m) => m.churn_bytes_per_sec(ci, now).as_u64() as f64 / page_bytes,
-                None => 0.0,
-            };
+        let churn_pages_per_sec = match &self.modulator {
+            Some(m) => m.churn_bytes_per_sec(ci, now).as_u64() as f64 / page_bytes,
+            None => 0.0,
+        };
         if churn_pages_per_sec > 0.0 || !self.containers[ci].churn_pages.is_empty() {
             let want = churn_pages_per_sec * dt.as_secs_f64() + self.containers[ci].churn_carry;
             let (carry, pages) =
@@ -834,28 +826,16 @@ impl Machine {
             .as_ref()
             .map(|w| (w.rps() / w.config().max_rps).max(0.5))
             .unwrap_or(1.0);
-        if let Some(diurnal) = self.containers[ci].diurnal {
-            scale *= diurnal.demand_fraction(now);
-        }
         if let Some(m) = &self.modulator {
             scale *= m.demand_scale(ci, now);
         }
-        let tick_index = (self.clock.ticks() - 1) as usize;
         // The plan buffer is scratch too: `plan_into` draws the RNG in
         // exactly the order `plan` did, so swapping in the reusing form
         // leaves every downstream draw untouched.
         let mut plan = std::mem::take(&mut self.scratch.plan);
-        match &self.containers[ci].trace {
-            Some(trace) if !trace.is_empty() => {
-                plan.clear();
-                plan.extend_from_slice(
-                    trace.tick(tick_index % trace.len()).expect("index wrapped"),
-                );
-            }
-            _ => self.containers[ci]
-                .planner
-                .plan_into(dt, &mut self.rng, &mut plan),
-        }
+        self.containers[ci]
+            .planner
+            .plan_into(dt, &mut self.rng, &mut plan);
         for (class, &count) in plan.iter().enumerate() {
             let count = (count as f64 * scale).round() as u64;
             if self.containers[ci].class_pages[class].is_empty() {
@@ -1550,6 +1530,17 @@ mod tests {
         }
     }
 
+    /// Churns a fixed number of write-once file bytes per second in
+    /// every container.
+    #[derive(Debug)]
+    struct FixedChurn(ByteSize);
+
+    impl WorkloadModulator for FixedChurn {
+        fn churn_bytes_per_sec(&self, _container: usize, _now: SimTime) -> ByteSize {
+            self.0
+        }
+    }
+
     #[test]
     fn file_churn_grows_the_cache_until_reclaimed() {
         // The §5.1 anecdote: a self-extracting binary fills the file
@@ -1558,13 +1549,8 @@ mod tests {
             dram: ByteSize::from_mib(256),
             ..MachineConfig::default()
         });
-        let id = m.add_container_with(
-            &small_profile(),
-            ContainerConfig {
-                file_churn: Some(ByteSize::from_mib(1)), // 1 MiB/s of junk
-                ..ContainerConfig::default()
-            },
-        );
+        let id = m.add_container(&small_profile());
+        m.set_modulator(Box::new(FixedChurn(ByteSize::from_mib(1)))); // 1 MiB/s of junk
         let cg = m.container(id).cgroup();
         let before = m.mm().cgroup_stat(cg).file_resident;
         m.run(SimDuration::from_secs(60));
@@ -1586,13 +1572,8 @@ mod tests {
             dram: ByteSize::from_mib(256),
             ..MachineConfig::default()
         });
-        let id = m.add_container_with(
-            &small_profile(),
-            ContainerConfig {
-                file_churn: Some(ByteSize::from_mib(1)),
-                ..ContainerConfig::default()
-            },
-        );
+        let id = m.add_container(&small_profile());
+        m.set_modulator(Box::new(FixedChurn(ByteSize::from_mib(1))));
         m.run(SimDuration::from_secs(5));
         let before = m.container(id).churn_pages.len();
         assert!(before > 0);

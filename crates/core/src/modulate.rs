@@ -7,6 +7,10 @@
 //! and container churn storms all reduce to these four questions asked
 //! once per container per tick.
 //!
+//! Apart from the Web admission model, the modulator is the only thing
+//! that shapes a container's demand, leak and churn over time: a
+//! container with no modulator runs its profile's steady access plan.
+//!
 //! # Determinism contract
 //!
 //! Every method must be a **pure function of its arguments** (plus the
@@ -29,9 +33,9 @@ use tmo_sim::{ByteSize, SimDuration, SimTime};
 /// only the behaviours its scenario uses.
 pub trait WorkloadModulator: std::fmt::Debug + Send {
     /// Multiplier on the container's access intensity at `now`
-    /// (composes with the web-admission and diurnal scales already on
-    /// the container). `1.0` is neutral; `3.0` is a flash crowd;
-    /// `0.3` is a nighttime trough.
+    /// (composes with the web-admission scale of a Web container).
+    /// `1.0` is neutral; `3.0` is a flash crowd; `0.3` is a nighttime
+    /// trough.
     fn demand_scale(&self, container: usize, now: SimTime) -> f64 {
         let _ = (container, now);
         1.0
@@ -45,9 +49,9 @@ pub trait WorkloadModulator: std::fmt::Debug + Send {
         ByteSize::ZERO
     }
 
-    /// Extra write-once file-cache churn per second at `now`, on top of
-    /// the container's configured churn rate (the sidecar-tax spike).
-    /// [`ByteSize::ZERO`] is neutral.
+    /// Write-once file-cache churn per second at `now` (the §5.1
+    /// sidecar-tax spike): file pages created, never read again, and
+    /// dropped entirely once evicted. [`ByteSize::ZERO`] is neutral.
     fn churn_bytes_per_sec(&self, container: usize, now: SimTime) -> ByteSize {
         let _ = (container, now);
         ByteSize::ZERO

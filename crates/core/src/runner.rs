@@ -212,14 +212,6 @@ impl<T> HostOutcome<T> {
         }
     }
 
-    /// Consumes the outcome, yielding the completed result, if any.
-    pub fn into_completed(self) -> Option<T> {
-        match self {
-            HostOutcome::Completed(value) => Some(value),
-            HostOutcome::Failed(_) => None,
-        }
-    }
-
     /// The failure record, if the host panicked.
     pub fn failure(&self) -> Option<&FleetError> {
         match self {

@@ -85,18 +85,15 @@ pub struct ChaosPoint {
 /// Runs one chaos host: a Feed workload plus a relaxed datacenter-tax
 /// sidecar under accelerated Senpai and oomd, with the host's fault
 /// schedule derived from its seed.
-pub fn run_host(seed: u64, index: usize, intensity: f64, scale: Scale) -> ChaosHostReport {
-    run_host_with_scratch(seed, index, intensity, scale, MachineScratch::default()).0
-}
-
-/// [`run_host`] with an adopted [`MachineScratch`], for shard-arena
-/// buffer recycling. Returns the host's report plus the retired
-/// (scrubbed) scratch. Behavior is bit-identical to [`run_host`]
-/// whatever the scratch previously held — the `arena_reuse` tests pin
-/// this even under crash-churn and host-panic schedules. Note a host
-/// whose injected panic fires never returns: its scratch dies with it,
-/// and the arena falls back to a fresh default for the next host.
-pub fn run_host_with_scratch(
+///
+/// The host adopts `scratch` for shard-arena buffer recycling and
+/// returns its report plus the retired (scrubbed) scratch. Behavior is
+/// bit-identical whatever the scratch previously held — the
+/// `arena_reuse` tests pin this even under crash-churn and host-panic
+/// schedules. Note a host whose injected panic fires never returns: its
+/// scratch dies with it, and the arena falls back to a fresh default
+/// for the next host.
+pub fn run_host(
     seed: u64,
     index: usize,
     intensity: f64,
@@ -159,7 +156,7 @@ pub fn run_host_with_scratch(
 pub fn run_point(runner: &FleetRunner, intensity: f64, scale: Scale) -> ChaosPoint {
     let (outcomes, stats) =
         runner.run_collect_seeded_sharded(EXPERIMENT_SEED, HOSTS_PER_POINT, |host, arena| {
-            let (report, scratch) = run_host_with_scratch(
+            let (report, scratch) = run_host(
                 host.seed,
                 host.index,
                 intensity,

@@ -132,11 +132,6 @@ impl Cgroup {
         self.anon_resident + self.file_resident
     }
 
-    /// Resident pages of the whole subtree.
-    pub fn subtree_resident_pages(&self) -> PageCount {
-        self.subtree_resident
-    }
-
     /// The container's reclaim priority.
     pub fn priority(&self) -> ReclaimPriority {
         self.priority

@@ -203,11 +203,6 @@ impl MemoryManager {
         self.policy
     }
 
-    /// Switches the reclaim policy (used by ablation experiments).
-    pub fn set_policy(&mut self, policy: ReclaimPolicy) {
-        self.policy = policy;
-    }
-
     // ------------------------------------------------------------------
     // Reclaim-pressure provenance
     // ------------------------------------------------------------------
@@ -229,11 +224,6 @@ impl MemoryManager {
         if self.provenance.is_none() {
             self.provenance = Some(ProvenanceTracker::default());
         }
-    }
-
-    /// Whether provenance tracking is on.
-    pub fn provenance_enabled(&self) -> bool {
-        self.provenance.is_some()
     }
 
     /// Names the cgroup whose demand is driving the mm entry points

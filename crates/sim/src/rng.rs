@@ -105,16 +105,6 @@ impl DetRng {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Uniform float in `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if `lo > hi`.
-    pub fn uniform_range(&mut self, lo: f64, hi: f64) -> f64 {
-        debug_assert!(lo <= hi, "invalid range [{lo}, {hi})");
-        lo + self.uniform() * (hi - lo)
-    }
-
     /// Uniform integer in `[0, n)` via Lemire's unbiased multiply-shift
     /// rejection method. Returns 0 when `n == 0`.
     pub fn below(&mut self, n: u64) -> u64 {

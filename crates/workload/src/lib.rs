@@ -17,8 +17,10 @@
 //! * [`webserver`] — the Web RPS model: request admission throttled to
 //!   a tail-latency target, reproducing the self-regulation of §4.2.
 //! * [`tax`] — datacenter and microservice memory-tax sidecars (§2.3).
-//! * [`access`] — access-trace recording and replay for pinned A/B
-//!   workload streams.
+//!
+//! How a workload changes over time (diurnal waves, flash crowds,
+//! leaks, file churn) is not a profile property: the core's
+//! `WorkloadModulator` hook, driven by the scenario engine, shapes it.
 //!
 //! # Example
 //!
@@ -30,14 +32,12 @@
 //! assert!((feed.cold_fraction() - 0.30).abs() < 1e-9);
 //! ```
 
-pub mod access;
 pub mod apps;
 pub mod profile;
 pub mod tax;
 pub mod temperature;
 pub mod webserver;
 
-pub use access::AccessTrace;
 pub use profile::AppProfile;
 pub use temperature::{AccessPlanner, TemperatureClass};
 pub use webserver::{DiurnalPattern, WebServerConfig, WebServerModel};

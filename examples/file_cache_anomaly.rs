@@ -15,7 +15,23 @@
 
 use tmo::prelude::*;
 use tmo_mm::render::render_memory_stat;
-use tmo_repro::{tmo, tmo_mm};
+use tmo_repro::{tmo, tmo_mm, tmo_scenarios};
+use tmo_scenarios::prelude::*;
+
+/// Makes the machine's containers churn 1 MiB/s of write-once file
+/// cache for the whole run: the buggy binary extraction.
+fn extract_binary_repeatedly(machine: &mut Machine) {
+    let junk = Scenario::new("self_extracting_binary", "1 MiB/s of write-once file cache")
+        .with_event(
+            Target::All,
+            Window::always(),
+            EventKind::SidecarSpike {
+                churn: ByteSize::from_mib(1),
+            },
+        );
+    let engine = ScenarioEngine::new(junk, machine.config().seed);
+    machine.set_modulator(Box::new(engine));
+}
 
 fn run_variant(buggy: bool, senpai: bool) -> (f64, f64, u64) {
     let mut machine = Machine::new(MachineConfig {
@@ -23,13 +39,10 @@ fn run_variant(buggy: bool, senpai: bool) -> (f64, f64, u64) {
         seed: 51,
         ..MachineConfig::default()
     });
-    let id = machine.add_container_with(
-        &apps::analytics().with_mem_total(ByteSize::from_mib(96)),
-        ContainerConfig {
-            file_churn: buggy.then(|| ByteSize::from_mib(1)), // 1 MiB/s of junk
-            ..ContainerConfig::default()
-        },
-    );
+    let id = machine.add_container(&apps::analytics().with_mem_total(ByteSize::from_mib(96)));
+    if buggy {
+        extract_binary_repeatedly(&mut machine);
+    }
     let mut rt = if senpai {
         TmoRuntime::with_senpai(
             machine,
@@ -86,13 +99,8 @@ fn main() {
         seed: 52,
         ..MachineConfig::default()
     });
-    let id = machine.add_container_with(
-        &apps::analytics().with_mem_total(ByteSize::from_mib(96)),
-        ContainerConfig {
-            file_churn: Some(ByteSize::from_mib(1)),
-            ..ContainerConfig::default()
-        },
-    );
+    let id = machine.add_container(&apps::analytics().with_mem_total(ByteSize::from_mib(96)));
+    extract_binary_repeatedly(&mut machine);
     machine.run(SimDuration::from_mins(2));
     println!("\nmemory.stat of the buggy container after two minutes:");
     let stat = machine.mm().cgroup_stat(machine.container(id).cgroup());

@@ -81,6 +81,14 @@ echo "==> chaos smoke: ext_chaos --quick --jobs 4 vs golden"
     | diff -u scripts/golden/ext_chaos_quick.txt - \
     || { echo "ext_chaos output drifted from scripts/golden/ext_chaos_quick.txt"; exit 1; }
 
+echo "==> figure suite: repro --all --jobs 4 vs docs/repro_output.txt"
+# Every paper figure at full scale. Stdout is byte-identical for any
+# --jobs N, so the checked-in transcript pins the whole suite: any
+# change to a figure's numbers must regenerate it in the same change.
+./target/release/repro --all --jobs 4 2>/dev/null \
+    | diff -u docs/repro_output.txt - \
+    || { echo "repro --all output drifted from docs/repro_output.txt"; exit 1; }
+
 echo "==> adversarial smoke: ext_adversarial --quick --jobs 4 vs golden"
 # The scenario engine draws only from FaultPlan hashes of (seed, host
 # index, tick), so the quick adversarial sweep — degradation table,

@@ -2,7 +2,7 @@
 //! kernel MM → PSI → Senpai → backend — exercised end to end.
 
 use tmo::prelude::*;
-use tmo_repro::{tmo, tmo_psi, tmo_senpai, tmo_workload};
+use tmo_repro::{tmo, tmo_psi, tmo_scenarios, tmo_senpai, tmo_workload};
 
 fn zswap_machine(dram_mib: u64, seed: u64) -> Machine {
     Machine::new(MachineConfig {
@@ -364,57 +364,6 @@ fn memory_low_shields_a_container_from_its_neighbours() {
 }
 
 #[test]
-fn pinned_traces_make_ab_tiers_see_identical_workloads() {
-    use tmo_repro::tmo_sim::DetRng;
-    use tmo_workload::{AccessPlanner, AccessTrace};
-
-    // Record one access stream from the Web profile...
-    let profile = tmo_workload::apps::web().with_mem_total(ByteSize::from_mib(128));
-    let page = ByteSize::from_kib(16);
-    let planner = AccessPlanner::new(
-        profile.classes.clone(),
-        profile.mem_total.as_u64() / page.as_u64(),
-    );
-    let trace = AccessTrace::record(
-        &planner,
-        SimDuration::from_millis(100),
-        600,
-        &mut DetRng::seed_from_u64(555),
-    );
-
-    // ...and replay it into two tiers that differ ONLY in the device.
-    let run = |swap: SwapKind| {
-        let mut machine = Machine::new(MachineConfig {
-            dram: ByteSize::from_mib(256),
-            swap,
-            seed: 47,
-            ..MachineConfig::default()
-        });
-        let id = machine.add_container_with(
-            &profile,
-            ContainerConfig {
-                trace: Some(trace.clone()),
-                ..ContainerConfig::default()
-            },
-        );
-        machine.run(SimDuration::from_secs(60));
-        machine.container(id).last_tick();
-        let stat = machine.mm().cgroup_stat(machine.container(id).cgroup());
-        let accesses: f64 = machine
-            .recorder()
-            .series("Web.resident_mib")
-            .map(|s| s.len() as f64)
-            .unwrap_or(0.0);
-        (stat.resident().as_u64(), accesses as u64)
-    };
-    let fast = run(SwapKind::Ssd(SsdModel::C));
-    let slow = run(SwapKind::Ssd(SsdModel::B));
-    // No reclaim happened, so with a pinned trace both tiers end in an
-    // identical memory state despite different device models.
-    assert_eq!(fast, slow);
-}
-
-#[test]
 fn host_psi_aggregates_all_containers() {
     let mut machine = zswap_machine(512, 59);
     let a =
@@ -444,7 +393,7 @@ fn host_psi_aggregates_all_containers() {
 
 #[test]
 fn diurnal_load_modulates_memory_behaviour() {
-    use tmo_workload::DiurnalPattern;
+    use tmo_scenarios::prelude::*;
 
     // A compressed 4-minute "day": demand troughs at 20% of peak.
     let mut machine = Machine::new(MachineConfig {
@@ -452,13 +401,17 @@ fn diurnal_load_modulates_memory_behaviour() {
         seed: 61,
         ..MachineConfig::default()
     });
-    let id = machine.add_container_with(
-        &tmo_workload::apps::feed().with_mem_total(ByteSize::from_mib(128)),
-        ContainerConfig {
-            diurnal: Some(DiurnalPattern::with_period(0.2, 240.0)),
-            ..ContainerConfig::default()
+    let id =
+        machine.add_container(&tmo_workload::apps::feed().with_mem_total(ByteSize::from_mib(128)));
+    let day = Scenario::new("day", "one diurnal wave").with_event(
+        Target::All,
+        Window::always(),
+        EventKind::Diurnal {
+            trough: 0.2,
+            period: SimDuration::from_secs(240),
         },
     );
+    machine.set_modulator(Box::new(ScenarioEngine::new(day, 61)));
     // Collect access counts over the day.
     let mut trough_accesses = 0u64;
     let mut peak_accesses = 0u64;
