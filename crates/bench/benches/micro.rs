@@ -200,6 +200,18 @@ fn machine_tick(c: &mut Criterion) {
             black_box(machine.now())
         })
     });
+    // Building the `ext_paper_scale` host (`with_scratch` plus its Feed
+    // container's footprint) on the scratch the previous build retired,
+    // as a fleet worker's shard arena recycles it.
+    group.bench_function("build_paper_scale_host", |b| {
+        let mut arena = tmo::runner::ShardArena::new();
+        b.iter(|| {
+            let (machine, app) =
+                tmo_experiments::ext_paper_scale::build_host(5, arena.take_scratch());
+            black_box(app);
+            arena.put_scratch(machine.into_scratch());
+        })
+    });
     group.finish();
 }
 

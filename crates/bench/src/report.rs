@@ -51,6 +51,7 @@ pub const REQUIRED_MICRO: &[(&str, &str)] = &[
     ("rng", "zipf_sample_64k"),
     ("rng", "poisson_mean_100"),
     ("machine", "tick_one_container"),
+    ("machine", "build_paper_scale_host"),
     ("fleet", "run_8_hosts_jobs_1"),
     ("fleet", "run_8_hosts_jobs_4"),
     ("fleet", "run_1024_hosts_jobs_1"),

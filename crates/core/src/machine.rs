@@ -3,7 +3,9 @@
 use tmo_backends::{NvmDevice, OffloadBackend, SsdModel, ZswapAllocator, ZswapPool};
 use tmo_faults::{FaultConfig, FaultPlan, FaultyBackend, HostFaults, SignalFate};
 use tmo_mm::manager::AllocError;
-use tmo_mm::{CgroupId, MemoryManager, MmConfig, PageId, PageKind, ReclaimOutcome, ReclaimPolicy};
+use tmo_mm::{
+    CgroupId, MemoryManager, MmConfig, MmScratch, PageId, PageKind, ReclaimOutcome, ReclaimPolicy,
+};
 use tmo_psi::{PsiGroup, Resource, SpanBatch};
 use tmo_senpai::{ContainerSignal, OomdSignal};
 use tmo_sim::{ByteSize, Clock, DetRng, Recorder, SeriesId, SimDuration, SimTime};
@@ -127,15 +129,18 @@ impl WorkingsetProfile {
 /// that did not fit, and why.
 type FootprintError = (usize, PageKind, AllocError);
 
-/// Reusable allocation scratch for one [`Machine`]'s hot tick path.
+/// Reusable allocation scratch for one [`Machine`]: the hot tick
+/// path's buffers and the memory manager's page slab, free-slot list
+/// and per-cgroup LRU lists.
 ///
 /// Every buffer in here is **semantically inert**: each is cleared (or
-/// fully overwritten) before any tick reads it, so the only thing a
-/// recycled scratch carries from one machine to the next is heap
-/// *capacity*, never values. That property is what lets the fleet
-/// runner hand one scratch from host to host inside a shard arena
-/// without breaking the bit-identical determinism contract — and it is
-/// pinned by the `arena_reuse` invariant tests.
+/// fully overwritten) before any tick reads it, and the manager's
+/// [`MmScratch`] is emptied by the manager itself on adoption and on
+/// retirement, so the only thing a recycled scratch carries from one
+/// machine to the next is heap *capacity*, never values. That property
+/// is what lets the fleet runner hand one scratch from host to host
+/// inside a shard arena without breaking the bit-identical determinism
+/// contract — and it is pinned by the `arena_reuse` invariant tests.
 ///
 /// Obtain one from [`Machine::into_scratch`] when a host simulation
 /// finishes, and thread it into the next host via
@@ -155,6 +160,8 @@ pub struct MachineScratch {
     /// Packed stall spans for the machine-wide PSI window (all
     /// containers' tasks in one batch).
     host_batch: SpanBatch,
+    /// The memory manager's page slab and LRU capacity.
+    mm: MmScratch,
 }
 
 impl MachineScratch {
@@ -305,14 +312,17 @@ impl Machine {
             )) as Box<dyn OffloadBackend>),
             (swap, _) => swap,
         };
-        let mm = MemoryManager::new(MmConfig {
-            page_size: config.page_size,
-            total_dram: config.dram,
-            swap,
-            fs_device: tmo_backends::catalog::fleet_device(config.fs_ssd),
-            policy: config.policy,
-            seed: seed_rng.fork(1).next_u64(),
-        });
+        let mm = MemoryManager::with_scratch(
+            MmConfig {
+                page_size: config.page_size,
+                total_dram: config.dram,
+                swap,
+                fs_device: tmo_backends::catalog::fleet_device(config.fs_ssd),
+                policy: config.policy,
+                seed: seed_rng.fork(1).next_u64(),
+            },
+            std::mem::take(&mut scratch.mm),
+        );
         let clock = Clock::new(config.tick);
         let rng = seed_rng.fork(2);
         let host_faults = faults.map(|fc| HostFaults::new(config.seed, 0, fc));
@@ -379,6 +389,7 @@ impl Machine {
     pub fn into_scratch(self) -> MachineScratch {
         let mut scratch = self.scratch;
         scratch.scrub();
+        scratch.mm = self.mm.into_scratch();
         scratch
     }
 

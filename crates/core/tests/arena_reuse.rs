@@ -5,13 +5,16 @@
 //! must produce bit-identical outcomes. The same must hold when the
 //! schedule injects container crash churn and mid-run host panics: a
 //! lost scratch (the panicking host dies holding it) may degrade buffer
-//! reuse, but never results.
+//! reuse, but never results. Nor may scratch retired by a bigger,
+//! differently shaped host: its page slab and LRU lists are emptied
+//! when the next host adopts them.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use tmo::fleet::{host_savings, HostSavings};
 use tmo::prelude::*;
 use tmo::runner::{FleetRunner, HostCtx, ShardArena};
+use tmo_mm::{PageId, PageKind};
 
 /// What one host reports: savings plus final sim clock — enough bits
 /// that any divergence in the access/reclaim/fault path shows up.
@@ -123,6 +126,87 @@ fn adopted_scratch_from_any_host_changes_nothing() {
         let (adopted, _) = run_host(FleetRunner::host_seed(SEED, 7), None, dirty);
         assert_eq!(fresh, adopted, "scratch from donor {donor} leaked state");
     }
+}
+
+/// A bigger, differently shaped donor: four containers, two of them in
+/// a slice under `memory.max`, one killed and restarted, and enough
+/// ticks and reclaim that its LRU lists hold stale entries and its page
+/// slab has free slots when the scratch is retired.
+fn donor_scratch(seed: u64) -> MachineScratch {
+    let dram = ByteSize::from_mib(256);
+    let mut machine = Machine::with_scratch(
+        MachineConfig {
+            dram,
+            swap: SwapKind::Zswap {
+                capacity_fraction: 0.25,
+                allocator: ZswapAllocator::Zsmalloc,
+            },
+            seed,
+            ..MachineConfig::default()
+        },
+        MachineScratch::default(),
+    );
+    let slice = machine.create_slice("workload.slice");
+    machine
+        .mm_mut()
+        .set_memory_max(slice, Some(ByteSize::from_mib(110)));
+    let web = machine.add_container_with(
+        &apps::web().with_mem_total(ByteSize::from_mib(60)),
+        ContainerConfig {
+            web: Some(WebServerConfig::default()),
+            slice: Some(slice),
+            ..ContainerConfig::default()
+        },
+    );
+    let feed = machine.add_container_with(
+        &apps::feed().with_mem_total(ByteSize::from_mib(40)),
+        ContainerConfig {
+            slice: Some(slice),
+            ..ContainerConfig::default()
+        },
+    );
+    machine.add_container_with(
+        &tax::datacenter_tax(dram),
+        ContainerConfig {
+            relaxed: true,
+            ..ContainerConfig::default()
+        },
+    );
+    machine.add_container(&apps::cache_a().with_mem_total(ByteSize::from_mib(40)));
+    for _ in 0..10 {
+        machine.tick();
+    }
+    machine.kill_container(feed);
+    assert!(machine.restart_container(feed));
+    machine.reclaim(web, ByteSize::from_mib(8));
+    for _ in 0..10 {
+        machine.tick();
+    }
+    machine.into_scratch()
+}
+
+/// The id of the first page a host built on `scratch` hands out.
+fn first_page(scratch: MachineScratch) -> PageId {
+    let mut machine = Machine::with_scratch(MachineConfig::default(), scratch);
+    let cg = machine.create_slice("probe");
+    machine
+        .mm_mut()
+        .alloc_pages(cg, PageKind::Anon, 1, SimTime::ZERO)
+        .expect("fits")
+        .pages[0]
+}
+
+#[test]
+fn scratch_from_a_bigger_host_is_clean_at_adoption() {
+    const SEED: u64 = 77;
+    let fresh = solo(SEED, 5, None);
+    let (adopted, _) = run_host(FleetRunner::host_seed(SEED, 5), None, donor_scratch(3));
+    assert_eq!(fresh, adopted, "the donor's mm capacity leaked state");
+    assert_eq!(
+        first_page(donor_scratch(3)),
+        first_page(MachineScratch::default()),
+        "the adopted page slab was not emptied"
+    );
 }
 
 #[test]

@@ -59,6 +59,25 @@ pub fn fleet_sizes(scale: Scale) -> &'static [usize] {
     }
 }
 
+/// Builds one scaling host on `scratch`: 64 MiB of DRAM with a zswap
+/// pool and a single 24 MiB Feed container.
+pub fn build_host(seed: u64, scratch: MachineScratch) -> (Machine, ContainerId) {
+    let mut machine = Machine::with_scratch(
+        MachineConfig {
+            dram: ByteSize::from_mib(64),
+            swap: SwapKind::Zswap {
+                capacity_fraction: 0.3,
+                allocator: ZswapAllocator::Zsmalloc,
+            },
+            seed,
+            ..MachineConfig::default()
+        },
+        scratch,
+    );
+    let app = machine.add_container(&apps::feed().with_mem_total(ByteSize::from_mib(24)));
+    (machine, app)
+}
+
 /// Runs one scaling host: a deliberately small Feed host — a few ticks
 /// of access traffic, one Senpai-sized reclaim probe, two more ticks —
 /// cheap enough that a 100k-host fleet is a seconds-scale run while
@@ -66,20 +85,7 @@ pub fn fleet_sizes(scale: Scale) -> &'static [usize] {
 /// the zswap backend. Scratch buffers are recycled through the worker's
 /// [`ShardArena`].
 pub fn run_host(ctx: HostCtx, arena: &mut ShardArena) -> HostSavings {
-    let dram = ByteSize::from_mib(64);
-    let mut machine = Machine::with_scratch(
-        MachineConfig {
-            dram,
-            swap: SwapKind::Zswap {
-                capacity_fraction: 0.3,
-                allocator: ZswapAllocator::Zsmalloc,
-            },
-            seed: ctx.seed,
-            ..MachineConfig::default()
-        },
-        arena.take_scratch(),
-    );
-    let app = machine.add_container(&apps::feed().with_mem_total(ByteSize::from_mib(24)));
+    let (mut machine, app) = build_host(ctx.seed, arena.take_scratch());
     for _ in 0..6 {
         machine.tick();
     }

@@ -48,7 +48,7 @@ pub mod stats;
 pub mod workingset;
 
 pub use cgroup::{CgroupId, ReclaimPriority};
-pub use manager::{MemoryManager, MmConfig, ProvenanceCharge};
+pub use manager::{MemoryManager, MmConfig, MmScratch, ProvenanceCharge};
 pub use page::{LruTier, PageId, PageKind};
 pub use reclaim::ReclaimPolicy;
 pub use stats::{

@@ -73,6 +73,12 @@ impl LruList {
         None
     }
 
+    /// Empties the list, keeping its capacity.
+    pub(crate) fn clear(&mut self) {
+        self.deque.clear();
+        self.live = 0;
+    }
+
     /// Physical length including stale entries (for compaction
     /// heuristics and tests).
     pub fn physical_len(&self) -> usize {
@@ -126,6 +132,14 @@ impl Lrus {
             (PageKind::File, LruTier::Active) => &mut self.file_active,
             (PageKind::File, LruTier::Inactive) => &mut self.file_inactive,
         }
+    }
+
+    /// Empties all four lists, keeping their capacity.
+    pub(crate) fn clear(&mut self) {
+        self.anon_active.clear();
+        self.anon_inactive.clear();
+        self.file_active.clear();
+        self.file_inactive.clear();
     }
 
     /// Live pages of `kind` across both tiers.

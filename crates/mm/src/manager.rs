@@ -12,6 +12,7 @@ use tmo_backends::{BackendKind, BackendStats, DeviceFault, IoKind, OffloadBacken
 use tmo_sim::{ByteSize, DetRng, PageCount, SimDuration, SimTime};
 
 use crate::cgroup::{Cgroup, CgroupId, ReclaimPriority};
+use crate::lru::Lrus;
 use crate::page::{
     LruTier, Page, PageId, PageKind, PageMeta, PageState, FLAG_INACTIVE, FLAG_REFERENCED,
 };
@@ -158,6 +159,36 @@ pub struct MemoryManager {
     /// Reclaim-pressure provenance; `None` (the default) keeps every
     /// hook on the alloc/fault/reclaim paths a single branch.
     provenance: Option<ProvenanceTracker>,
+    /// Emptied LRU lists adopted from a previous manager, in pop order:
+    /// the last entry goes to the next cgroup created.
+    spare_lrus: Vec<Lrus>,
+}
+
+/// A retired [`MemoryManager`]'s reusable heap capacity: the page slab,
+/// the free-slot list and each cgroup's four LRU deques.
+///
+/// It carries capacity, never values: the manager empties every buffer
+/// when it adopts a scratch and again when it retires one, so a manager
+/// built by [`MemoryManager::with_scratch`] behaves bit-identically to
+/// one built by [`MemoryManager::new`], whatever the scratch held.
+#[derive(Debug, Default)]
+pub struct MmScratch {
+    pages: Vec<PageMeta>,
+    free_slots: Vec<u64>,
+    /// In pop order: the last entry held cgroup 0's lists, so cgroup `i`
+    /// of the next manager reuses the lists of the previous one's `i`.
+    lrus: Vec<Lrus>,
+}
+
+impl MmScratch {
+    /// Empties every buffer, keeping its capacity.
+    fn scrub(&mut self) {
+        self.pages.clear();
+        self.free_slots.clear();
+        for lrus in &mut self.lrus {
+            lrus.clear();
+        }
+    }
 }
 
 impl MemoryManager {
@@ -167,6 +198,18 @@ impl MemoryManager {
     ///
     /// Panics if `page_size` is zero or larger than `total_dram`.
     pub fn new(config: MmConfig) -> Self {
+        MemoryManager::with_scratch(config, MmScratch::default())
+    }
+
+    /// Like [`MemoryManager::new`], but adopts `scratch`'s buffer
+    /// capacity (emptied first) for the page slab, the free-slot list
+    /// and the LRU lists of the cgroups it creates.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `page_size` is zero or larger than `total_dram`.
+    pub fn with_scratch(config: MmConfig, mut scratch: MmScratch) -> Self {
+        scratch.scrub();
         assert!(!config.page_size.is_zero(), "page size must be non-zero");
         let total_pages = config.total_dram.as_u64() / config.page_size.as_u64();
         assert!(total_pages > 0, "DRAM smaller than one page");
@@ -177,8 +220,8 @@ impl MemoryManager {
         MemoryManager {
             page_size: config.page_size,
             total_pages,
-            pages: Vec::new(),
-            free_slots: Vec::new(),
+            pages: scratch.pages,
+            free_slots: scratch.free_slots,
             cgroups: Vec::new(),
             swap: config.swap,
             swap_is_zswap,
@@ -190,7 +233,23 @@ impl MemoryManager {
             alloc_failures: 0,
             lost_loads: 0,
             provenance: None,
+            spare_lrus: scratch.lrus,
         }
+    }
+
+    /// Retires the manager, returning its buffer capacity (emptied) for
+    /// the next manager to adopt via [`MemoryManager::with_scratch`].
+    /// Only this manager's cgroups hand on their LRU lists: carrying
+    /// lists no cgroup used would pin capacity that no host needs.
+    pub fn into_scratch(self) -> MmScratch {
+        let lrus = self.cgroups.into_iter().rev().map(|c| c.lrus).collect();
+        let mut scratch = MmScratch {
+            pages: self.pages,
+            free_slots: self.free_slots,
+            lrus,
+        };
+        scratch.scrub();
+        scratch
     }
 
     /// The simulated page size.
@@ -301,7 +360,11 @@ impl MemoryManager {
     /// Creates a cgroup under `parent` (or as a root).
     pub fn create_cgroup(&mut self, name: &str, parent: Option<CgroupId>) -> CgroupId {
         let id = CgroupId(self.cgroups.len());
-        self.cgroups.push(Cgroup::new(name, parent));
+        let mut cgroup = Cgroup::new(name, parent);
+        if let Some(lrus) = self.spare_lrus.pop() {
+            cgroup.lrus = lrus;
+        }
+        self.cgroups.push(cgroup);
         if let Some(p) = parent {
             self.cgroups[p.0].children.push(id);
         }
@@ -469,6 +532,12 @@ impl MemoryManager {
     /// a `memory.max` limit requires it. The allocation is atomic: on
     /// failure no pages remain allocated.
     ///
+    /// Pages are inserted in bulk up to the current headroom (the free
+    /// pool capped by every ancestor's `memory.max` room); past it, one
+    /// checked page at a time may reclaim. Either way the pages, their
+    /// LRU order, the stall and the counters equal `count` single-page
+    /// allocations.
+    ///
     /// # Errors
     ///
     /// [`AllocError::OutOfMemory`] when reclaim cannot make room;
@@ -480,27 +549,26 @@ impl MemoryManager {
         count: u64,
         now: SimTime,
     ) -> Result<AllocOutcome, AllocError> {
-        let mut pages = Vec::with_capacity(count as usize);
+        // A request beyond DRAM fails or evicts its own earlier pages,
+        // so it cannot be sized up front.
+        let mut pages = Vec::with_capacity(count.min(self.total_pages) as usize);
         let mut stall = SimDuration::ZERO;
-        for _ in 0..count {
-            let step = self
-                .enforce_limits(cg, 1)
-                .and_then(|s1| self.ensure_free(1).map(|s2| s1 + s2));
-            match step {
-                Ok(s) => stall += s,
-                Err(e) => {
-                    self.free_pages_of(&pages);
-                    return Err(e);
+        while (pages.len() as u64) < count {
+            let mut n = self.headroom(cg).min(count - pages.len() as u64);
+            if n == 0 {
+                let step = self
+                    .enforce_limits(cg, 1)
+                    .and_then(|s1| self.ensure_free(1).map(|s2| s1 + s2));
+                match step {
+                    Ok(s) => stall += s,
+                    Err(e) => {
+                        self.free_pages_of(&pages);
+                        return Err(e);
+                    }
                 }
+                n = 1;
             }
-            let id = self.insert_page(kind, cg, now);
-            let gen = self.pages[id.0 as usize].gen;
-            self.note_resident(cg, kind, 1);
-            self.cgroups[cg.0]
-                .lrus
-                .list_mut(kind, LruTier::Inactive)
-                .push(id, gen);
-            pages.push(id);
+            self.insert_pages(cg, kind, n, now, &mut pages);
         }
         self.charge_alloc_provenance(cg, stall);
         Ok(AllocOutcome {
@@ -509,29 +577,62 @@ impl MemoryManager {
         })
     }
 
-    fn insert_page(&mut self, kind: PageKind, owner: CgroupId, now: SimTime) -> PageId {
-        match self.free_slots.pop() {
-            Some(slot) => {
-                // A recycled slot must not inherit the previous
-                // tenant's eviction provenance.
-                if let Some(p) = &mut self.provenance {
-                    if let Some(e) = p.evicted_by.get_mut(slot as usize) {
-                        *e = None;
-                    }
-                }
-                // Preserve the slot's generation across reuse: the free
-                // already bumped it past every stale LRU entry of the
-                // previous tenant, so none can validate against the new
-                // page.
-                let gen = self.pages[slot as usize].gen;
-                self.pages[slot as usize] = PageMeta::new(kind, owner, now, gen);
-                PageId(slot)
+    /// Pages `cg` can take now with neither `enforce_limits` nor
+    /// `ensure_free` having anything to do: the free pool, capped by the
+    /// `memory.max` room of `cg` and each ancestor.
+    fn headroom(&self, cg: CgroupId) -> u64 {
+        let mut room = self.free_pages();
+        let mut cursor = Some(cg);
+        while let Some(c) = cursor {
+            let group = &self.cgroups[c.0];
+            if let Some(max) = group.memory_max {
+                let limit_pages = max.as_u64() / self.page_size.as_u64();
+                room = room.min(limit_pages.saturating_sub(group.subtree_resident.as_u64()));
             }
-            None => {
-                self.pages.push(PageMeta::new(kind, owner, now, 0));
-                PageId(self.pages.len() as u64 - 1)
-            }
+            cursor = group.parent;
         }
+        room
+    }
+
+    /// Inserts `n` resident pages of `kind` owned by `cg` at the head of
+    /// its inactive list, appending their ids to `out`. Recycled slots
+    /// go first, in `free_slots` pop order, then new slab slots.
+    fn insert_pages(
+        &mut self,
+        cg: CgroupId,
+        kind: PageKind,
+        n: u64,
+        now: SimTime,
+        out: &mut Vec<PageId>,
+    ) {
+        let lru = self.cgroups[cg.0].lrus.list_mut(kind, LruTier::Inactive);
+        for _ in 0..n {
+            let id = match self.free_slots.pop() {
+                Some(slot) => {
+                    // A recycled slot must not inherit the previous
+                    // tenant's eviction provenance.
+                    if let Some(p) = &mut self.provenance {
+                        if let Some(e) = p.evicted_by.get_mut(slot as usize) {
+                            *e = None;
+                        }
+                    }
+                    // Preserve the slot's generation across reuse: the
+                    // free already bumped it past every stale LRU entry
+                    // of the previous tenant, so none can validate
+                    // against the new page.
+                    let meta = &mut self.pages[slot as usize];
+                    *meta = PageMeta::new(kind, cg, now, meta.gen);
+                    PageId(slot)
+                }
+                None => {
+                    self.pages.push(PageMeta::new(kind, cg, now, 0));
+                    PageId(self.pages.len() as u64 - 1)
+                }
+            };
+            lru.push(id, self.pages[id.0 as usize].gen);
+            out.push(id);
+        }
+        self.note_resident(cg, kind, n);
     }
 
     /// Frees pages (container shrink or exit). Offloaded copies are
@@ -1425,6 +1526,70 @@ mod tests {
             .expect_err("nothing to reclaim");
         assert_eq!(err, AllocError::OutOfMemory);
         assert!(mm.global_stat().alloc_failures > 0);
+    }
+
+    #[test]
+    fn oversized_request_fails_instead_of_aborting() {
+        // Sizing the result by `count` would ask for 8 TiB of page ids
+        // and abort the process, out of reach of any panic isolation.
+        let mut mm = MemoryManager::new(MmConfig {
+            total_dram: ByteSize::from_mib(64),
+            ..small_config(None)
+        });
+        let cg = mm.create_cgroup("a", None);
+        let err = mm
+            .alloc_pages(cg, PageKind::Anon, 1 << 40, SimTime::ZERO)
+            .expect_err("beyond DRAM");
+        assert_eq!(err, AllocError::OutOfMemory);
+        assert_eq!(mm.cgroup_stat(cg).resident(), PageCount::ZERO);
+        assert_eq!(mm.free_pages(), 16_384);
+        assert_eq!(mm.global_stat().alloc_failures, 1);
+    }
+
+    #[test]
+    fn adopted_scratch_behaves_like_a_fresh_manager() {
+        let script = |mm: &mut MemoryManager| {
+            let a = mm.create_cgroup("a", None);
+            let b = mm.create_cgroup("b", Some(a));
+            let mut ids = mm
+                .alloc_pages(b, PageKind::Anon, 60, SimTime::ZERO)
+                .expect("fits")
+                .pages;
+            ids.extend(
+                mm.alloc_pages(a, PageKind::File, 50, SimTime::ZERO)
+                    .expect("fits")
+                    .pages,
+            );
+            mm.reclaim(a, ByteSize::from_kib(4 * 30));
+            mm.free_pages_of(&ids[..20]);
+            ids.extend(
+                mm.alloc_pages(b, PageKind::File, 40, SimTime::from_secs(1))
+                    .expect("reclaim makes room")
+                    .pages,
+            );
+            let states: Vec<PageState> = ids.iter().map(|&p| mm.page(p).state()).collect();
+            let stats: Vec<CgroupStat> = mm.cgroup_ids().map(|c| mm.cgroup_stat(c)).collect();
+            (ids, states, stats, mm.global_stat())
+        };
+        let fresh = script(&mut MemoryManager::new(small_config(zswap())));
+        // A donor with more cgroups, stale LRU entries and free slots.
+        let mut donor = MemoryManager::new(small_config(zswap()));
+        let cgs: Vec<CgroupId> = (0..4)
+            .map(|i| donor.create_cgroup(&format!("d{i}"), None))
+            .collect();
+        for &cg in &cgs {
+            let pages = donor
+                .alloc_pages(cg, PageKind::File, 30, SimTime::ZERO)
+                .expect("fits")
+                .pages;
+            for &p in &pages[..10] {
+                donor.access(p, SimTime::from_secs(1));
+                donor.access(p, SimTime::from_secs(2));
+            }
+            donor.free_pages_of(&pages[5..15]);
+        }
+        let mut adopted = MemoryManager::with_scratch(small_config(zswap()), donor.into_scratch());
+        assert_eq!(script(&mut adopted), fresh);
     }
 
     #[test]

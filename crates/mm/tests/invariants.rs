@@ -10,9 +10,11 @@
 
 use proptest::prelude::*;
 use tmo_backends::{OffloadBackend, ZswapAllocator, ZswapPool};
+use tmo_mm::manager::{AllocError, AllocOutcome};
+use tmo_mm::page::PageState;
 use tmo_mm::{
-    AccessOutcome, BatchAccessStats, FaultKind, LruTier, MemoryManager, MmConfig, PageId, PageKind,
-    ReclaimPolicy,
+    AccessOutcome, BatchAccessStats, CgroupId, FaultKind, LruTier, MemoryManager, MmConfig, PageId,
+    PageKind, ReclaimPolicy,
 };
 use tmo_sim::{ByteSize, SimDuration, SimTime};
 
@@ -134,8 +136,260 @@ fn apply(mm: &mut MemoryManager, live: &mut Vec<PageId>, now: SimTime, op: &Op) 
     }
 }
 
+/// A setup step of the bulk-allocation differential, applied alike to
+/// both managers. Cgroup selectors index `[slice, a, b, c]`.
+#[derive(Debug, Clone)]
+enum DiffOp {
+    /// `n` pages in `a`, `b` or `c`; file pages when the flag is set.
+    Alloc(u8, bool, u8),
+    Free(u16),
+    Reclaim(u8, u8),
+    Access(u16, u8),
+    Tick,
+}
+
+fn arb_diff_op() -> impl Strategy<Value = DiffOp> {
+    prop_oneof![
+        (any::<u8>(), any::<bool>(), 1u8..60).prop_map(|(c, f, n)| DiffOp::Alloc(c, f, n)),
+        any::<u16>().prop_map(DiffOp::Free),
+        (any::<u8>(), 1u8..40).prop_map(|(c, n)| DiffOp::Reclaim(c, n)),
+        (any::<u16>(), 1u8..8).prop_map(|(i, n)| DiffOp::Access(i, n)),
+        Just(DiffOp::Tick),
+    ]
+}
+
+/// The differential's host: [`build_mm`] with provenance on and the
+/// cgroups `[slice, a, b, c]`, where `a` and `b` sit under `slice`
+/// (`memory.max` of `slice_max` pages) and `c` is a root of its own.
+fn build_diff_mm(slice_max: u64) -> (MemoryManager, [CgroupId; 4]) {
+    let mut mm = build_mm();
+    mm.enable_provenance();
+    let slice = mm.create_cgroup("slice", None);
+    let a = mm.create_cgroup("a", Some(slice));
+    let b = mm.create_cgroup("b", Some(slice));
+    let c = mm.create_cgroup("c", None);
+    mm.set_memory_max(slice, Some(ByteSize::new(PAGE.as_u64() * slice_max)));
+    (mm, [slice, a, b, c])
+}
+
+/// Applies one setup step, naming the acting cgroup as the reclaim
+/// trigger. `live` holds the allocated pages; `seen` is one past the
+/// highest page id ever handed out.
+fn apply_diff(
+    mm: &mut MemoryManager,
+    cgs: &[CgroupId; 4],
+    live: &mut Vec<PageId>,
+    seen: &mut u64,
+    now: SimTime,
+    op: &DiffOp,
+) {
+    match *op {
+        DiffOp::Alloc(c, file, n) => {
+            let cg = cgs[1 + c as usize % 3];
+            let kind = if file { PageKind::File } else { PageKind::Anon };
+            mm.set_reclaim_trigger(Some(cg));
+            if let Ok(out) = mm.alloc_pages(cg, kind, n as u64, now) {
+                for id in &out.pages {
+                    *seen = (*seen).max(id.as_u64() + 1);
+                }
+                live.extend(out.pages);
+            }
+        }
+        DiffOp::Free(i) => {
+            if !live.is_empty() {
+                let id = live.swap_remove(i as usize % live.len());
+                mm.free_pages_of(&[id]);
+            }
+        }
+        DiffOp::Reclaim(c, n) => {
+            let cg = cgs[c as usize % 4];
+            mm.set_reclaim_trigger(Some(cg));
+            mm.reclaim(cg, ByteSize::new(PAGE.as_u64() * n as u64));
+        }
+        DiffOp::Access(i, n) => {
+            if !live.is_empty() {
+                let ids: Vec<PageId> = (0..n as usize)
+                    .map(|k| live[(i as usize + k) % live.len()])
+                    .collect();
+                mm.set_reclaim_trigger(Some(mm.page(ids[0]).owner()));
+                mm.access_batch(&ids, now, &mut Vec::new());
+            }
+        }
+        DiffOp::Tick => mm.tick(SimDuration::from_secs(1)),
+    }
+}
+
+/// What the bulk side of one differential run did.
+#[derive(Debug)]
+struct BulkRun {
+    outcome: Result<AllocOutcome, AllocError>,
+    /// Pages of the request that reused a freed slot.
+    recycled: usize,
+    /// Whether the bulk manager reported any provenance charge.
+    charged: bool,
+}
+
+/// Runs `ops` on two identical managers, then asks one for `n` pages of
+/// `kind` in `cgs[target]` with a single `alloc_pages` call and the
+/// other with `n` one-page calls (freeing them all on the first error,
+/// as the bulk call does). Both managers must end identical: ids,
+/// stall, error, every cgroup's and the global stats, provenance
+/// charges, and the order in which later reclaims take pages.
+fn bulk_vs_singles(
+    slice_max: u64,
+    ops: &[DiffOp],
+    target: usize,
+    kind: PageKind,
+    n: u64,
+) -> Result<BulkRun, TestCaseError> {
+    let (mut bulk, cgs) = build_diff_mm(slice_max);
+    let (mut single, _) = build_diff_mm(slice_max);
+    let (mut live, mut live_single) = (Vec::new(), Vec::new());
+    let (mut seen, mut seen_single) = (0, 0);
+    let mut now = SimTime::ZERO;
+    for op in ops {
+        now += SimDuration::from_millis(100);
+        apply_diff(&mut bulk, &cgs, &mut live, &mut seen, now, op);
+        apply_diff(
+            &mut single,
+            &cgs,
+            &mut live_single,
+            &mut seen_single,
+            now,
+            op,
+        );
+    }
+    prop_assert_eq!(&live, &live_single);
+    let (mut charges, mut charges_single) = (Vec::new(), Vec::new());
+    bulk.drain_provenance_charges(&mut charges);
+    single.drain_provenance_charges(&mut charges_single);
+    prop_assert_eq!(&charges, &charges_single);
+
+    let cg = cgs[target];
+    now += SimDuration::from_millis(100);
+    bulk.set_reclaim_trigger(Some(cg));
+    single.set_reclaim_trigger(Some(cg));
+    let outcome = bulk.alloc_pages(cg, kind, n, now);
+    let mut ids = Vec::new();
+    let mut stall = SimDuration::ZERO;
+    let mut error = None;
+    for _ in 0..n {
+        match single.alloc_pages(cg, kind, 1, now) {
+            Ok(out) => {
+                ids.extend(out.pages);
+                stall += out.reclaim_stall;
+            }
+            Err(e) => {
+                single.free_pages_of(&ids);
+                error = Some(e);
+                break;
+            }
+        }
+    }
+    bulk.drain_provenance_charges(&mut charges);
+    single.drain_provenance_charges(&mut charges_single);
+    match (&outcome, error) {
+        (Ok(out), None) => {
+            prop_assert_eq!(&out.pages, &ids);
+            prop_assert_eq!(out.reclaim_stall, stall);
+            prop_assert_eq!(&charges, &charges_single);
+            live.extend(ids.iter().copied());
+        }
+        (Err(e), Some(e_single)) => {
+            prop_assert_eq!(*e, e_single);
+            // A failed call charges none of its stall; the one-page
+            // calls before the failure each charged theirs, so the
+            // drained charges are not compared here.
+            for &id in &ids {
+                prop_assert_eq!(bulk.page(id).state(), PageState::Freed);
+            }
+        }
+        (outcome, error) => {
+            return Err(TestCaseError::Fail(format!(
+                "bulk {outcome:?} but one-page calls ended in {error:?}"
+            )));
+        }
+    }
+    for &c in &cgs {
+        prop_assert_eq!(bulk.cgroup_stat(c), single.cgroup_stat(c));
+    }
+    prop_assert_eq!(bulk.global_stat(), single.global_stat());
+    assert_lru_accounting(&bulk);
+    assert_lru_accounting(&single);
+    // Later reclaim takes pages in the same order from both.
+    for &c in cgs.iter().cycle().take(8) {
+        bulk.reclaim(c, ByteSize::new(PAGE.as_u64() * 8));
+        single.reclaim(c, ByteSize::new(PAGE.as_u64() * 8));
+        let states: Vec<PageState> = live.iter().map(|&p| bulk.page(p).state()).collect();
+        let states_single: Vec<PageState> = live.iter().map(|&p| single.page(p).state()).collect();
+        prop_assert_eq!(states, states_single);
+    }
+    let recycled = match &outcome {
+        Ok(out) => out.pages.iter().filter(|id| id.as_u64() < seen).count(),
+        Err(_) => 0,
+    };
+    Ok(BulkRun {
+        outcome,
+        recycled,
+        charged: !charges.is_empty(),
+    })
+}
+
+#[test]
+fn bulk_alloc_matches_singles_when_slice_limit_bites_mid_request() {
+    // 40 file pages in `a` leave the 64-page slice 24 pages of room; the
+    // 60-page request in `b` must reclaim inside the slice for the rest.
+    let ops = [DiffOp::Alloc(1, true, 40)];
+    let run = bulk_vs_singles(64, &ops, 2, PageKind::File, 60).expect("differential holds");
+    let out = run.outcome.expect("file pages reclaim to fit");
+    assert!(out.reclaim_stall > SimDuration::ZERO, "the limit never bit");
+    assert!(run.charged, "the reclaim stall was not charged");
+}
+
+#[test]
+fn bulk_alloc_matches_singles_when_dram_runs_out_into_zswap() {
+    // `c` fills DRAM with anon pages; the request must swap its own and
+    // earlier pages into the zswap pool, which itself eats DRAM, until
+    // the pool is full and the request fails.
+    let ops = [
+        DiffOp::Alloc(2, false, 59),
+        DiffOp::Alloc(2, false, 59),
+        DiffOp::Alloc(2, false, 59),
+        DiffOp::Alloc(2, false, 59),
+    ];
+    let run = bulk_vs_singles(16, &ops, 3, PageKind::Anon, 120).expect("differential holds");
+    let out = run.outcome.expect("zswap makes room");
+    assert!(out.reclaim_stall > SimDuration::ZERO, "DRAM never ran out");
+    let run = bulk_vs_singles(16, &ops, 3, PageKind::Anon, 2_000).expect("differential holds");
+    assert_eq!(run.outcome, Err(AllocError::OutOfMemory));
+}
+
+#[test]
+fn bulk_alloc_matches_singles_on_recycled_slots() {
+    let mut ops = vec![DiffOp::Alloc(0, false, 50), DiffOp::Reclaim(1, 20)];
+    ops.extend((0..30).map(|i| DiffOp::Free(i * 7)));
+    let run = bulk_vs_singles(200, &ops, 1, PageKind::Anon, 45).expect("differential holds");
+    run.outcome.expect("fits");
+    assert_eq!(run.recycled, 30, "freed slots were not reused");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// One `alloc_pages(cg, kind, n)` call ends exactly where `n`
+    /// one-page calls do, after an arbitrary setup: a slice limit that
+    /// may bite mid-request, DRAM that may run out into the zswap pool,
+    /// recycled slots and provenance tracking.
+    #[test]
+    fn bulk_alloc_matches_single_page_calls(
+        slice_max in 16u64..200,
+        ops in prop::collection::vec(arb_diff_op(), 0..60),
+        request in (1usize..4, any::<bool>(), 1u64..400),
+    ) {
+        let (target, file, n) = request;
+        let kind = if file { PageKind::File } else { PageKind::Anon };
+        bulk_vs_singles(slice_max, &ops, target, kind, n)?;
+    }
 
     /// After every single operation, counters and LRU live lengths
     /// agree. This is deliberately checked per-op, not just at the end:
