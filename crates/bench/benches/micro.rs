@@ -80,6 +80,30 @@ fn mm_paths(c: &mut Criterion) {
             black_box(mm.access_batch(&alloc.pages, SimTime::from_secs(1), &mut swap_latencies))
         })
     });
+    // The regime the 16-byte hot page record targets: 4096 scattered
+    // touches of a 4 GiB host's 262,144 resident 16 KiB pages, whose
+    // slab far exceeds the cache (access_4096_resident's sequential
+    // 4096 pages stay in it). The ids are drawn once from a fixed seed,
+    // and the host is built once, outside the closure the harness calls
+    // per sample.
+    let mut mm = MemoryManager::new(MmConfig {
+        page_size: ByteSize::from_kib(16),
+        total_dram: ByteSize::from_gib(4),
+        ..MmConfig::default()
+    });
+    let cg = mm.create_cgroup("bench", None);
+    let resident = mm
+        .alloc_pages(cg, PageKind::Anon, 262_144, SimTime::ZERO)
+        .expect("fits")
+        .pages;
+    let mut rng = DetRng::seed_from_u64(7);
+    let ids: Vec<_> = (0..4096)
+        .map(|_| resident[rng.below(resident.len() as u64) as usize])
+        .collect();
+    let mut swap_latencies = Vec::new();
+    group.bench_function("access_4096_of_262144", |b| {
+        b.iter(|| black_box(mm.access_batch(&ids, SimTime::from_secs(1), &mut swap_latencies)))
+    });
     group.bench_function("reclaim_256_pages", |b| {
         b.iter_with_setup(
             || {

@@ -45,6 +45,7 @@ pub const REQUIRED_MICRO: &[(&str, &str)] = &[
     ("workload", "planner_plan"),
     ("mm", "access_resident_page"),
     ("mm", "access_4096_resident"),
+    ("mm", "access_4096_of_262144"),
     ("mm", "reclaim_256_pages"),
     ("backends", "ssd_read_latency_draw"),
     ("backends", "zswap_store_load"),

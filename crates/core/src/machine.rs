@@ -805,7 +805,7 @@ impl Machine {
             let (live, dead): (Vec<_>, Vec<_>) = self.containers[ci]
                 .churn_pages
                 .drain(..)
-                .partition(|&p| mm.page(p).is_resident());
+                .partition(|&p| mm.is_resident(p));
             self.containers[ci].churn_pages = live;
             if !dead.is_empty() {
                 self.mm.free_pages_of(&dead);

@@ -14,7 +14,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use tmo::fleet::{host_savings, HostSavings};
 use tmo::prelude::*;
 use tmo::runner::{FleetRunner, HostCtx, ShardArena};
-use tmo_mm::{PageId, PageKind};
+use tmo_mm::page::PageState;
+use tmo_mm::{CgroupId, PageId, PageKind};
 
 /// What one host reports: savings plus final sim clock — enough bits
 /// that any divergence in the access/reclaim/fault path shows up.
@@ -185,15 +186,25 @@ fn donor_scratch(seed: u64) -> MachineScratch {
     machine.into_scratch()
 }
 
-/// The id of the first page a host built on `scratch` hands out.
-fn first_page(scratch: MachineScratch) -> PageId {
+/// What a host built on `scratch` hands out first: 64 page ids, read
+/// off the hot slab, each with the owner and state its cold record
+/// holds. A slot the adopted scratch failed to empty shows up as a
+/// recycled id or as a donor page's owner.
+fn first_pages(scratch: MachineScratch) -> Vec<(PageId, CgroupId, PageState)> {
     let mut machine = Machine::with_scratch(MachineConfig::default(), scratch);
     let cg = machine.create_slice("probe");
-    machine
+    let pages = machine
         .mm_mut()
-        .alloc_pages(cg, PageKind::Anon, 1, SimTime::ZERO)
+        .alloc_pages(cg, PageKind::Anon, 64, SimTime::ZERO)
         .expect("fits")
-        .pages[0]
+        .pages;
+    pages
+        .into_iter()
+        .map(|p| {
+            let page = machine.mm().page(p);
+            (p, page.owner(), page.state())
+        })
+        .collect()
 }
 
 #[test]
@@ -203,9 +214,9 @@ fn scratch_from_a_bigger_host_is_clean_at_adoption() {
     let (adopted, _) = run_host(FleetRunner::host_seed(SEED, 5), None, donor_scratch(3));
     assert_eq!(fresh, adopted, "the donor's mm capacity leaked state");
     assert_eq!(
-        first_page(donor_scratch(3)),
-        first_page(MachineScratch::default()),
-        "the adopted page slab was not emptied"
+        first_pages(donor_scratch(3)),
+        first_pages(MachineScratch::default()),
+        "the adopted hot slab or cold array was not emptied"
     );
 }
 

@@ -159,7 +159,7 @@ impl Lrus {
 mod tests {
     use super::*;
 
-    fn pid(n: u64) -> PageId {
+    fn pid(n: u32) -> PageId {
         PageId(n)
     }
 

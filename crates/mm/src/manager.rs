@@ -14,7 +14,7 @@ use tmo_sim::{ByteSize, DetRng, PageCount, SimDuration, SimTime};
 use crate::cgroup::{Cgroup, CgroupId, ReclaimPriority};
 use crate::lru::Lrus;
 use crate::page::{
-    LruTier, Page, PageId, PageKind, PageMeta, PageState, FLAG_INACTIVE, FLAG_REFERENCED,
+    ColdMeta, LruTier, Page, PageId, PageKind, PageMeta, PageState, FLAG_INACTIVE, FLAG_REFERENCED,
 };
 use crate::reclaim::{BalanceInputs, ReclaimPolicy};
 use crate::stats::{
@@ -137,11 +137,14 @@ struct ProvenanceTracker {
 pub struct MemoryManager {
     page_size: ByteSize,
     total_pages: u64,
-    /// Dense page-metadata slab indexed by `PageId` slot; freed slots
-    /// are recycled through `free_slots`. O(1) state lookup on the
-    /// access path, no map traversal.
+    /// Dense slab of hot page records indexed by `PageId` slot; freed
+    /// slots are recycled through `free_slots`. O(1) state lookup on
+    /// the access path, no map traversal.
     pages: Vec<PageMeta>,
-    free_slots: Vec<u64>,
+    /// Cold page records, parallel to `pages`: owner and offload token
+    /// or eviction shadow, off the resident access fast path.
+    cold: Vec<ColdMeta>,
+    free_slots: Vec<u32>,
     cgroups: Vec<Cgroup>,
     swap: Option<Box<dyn OffloadBackend>>,
     /// Whether `swap` reports [`BackendKind::Zswap`]. A backend's kind
@@ -164,8 +167,9 @@ pub struct MemoryManager {
     spare_lrus: Vec<Lrus>,
 }
 
-/// A retired [`MemoryManager`]'s reusable heap capacity: the page slab,
-/// the free-slot list and each cgroup's four LRU deques.
+/// A retired [`MemoryManager`]'s reusable heap capacity: the hot and
+/// cold page arrays, the free-slot list and each cgroup's four LRU
+/// deques.
 ///
 /// It carries capacity, never values: the manager empties every buffer
 /// when it adopts a scratch and again when it retires one, so a manager
@@ -174,7 +178,8 @@ pub struct MemoryManager {
 #[derive(Debug, Default)]
 pub struct MmScratch {
     pages: Vec<PageMeta>,
-    free_slots: Vec<u64>,
+    cold: Vec<ColdMeta>,
+    free_slots: Vec<u32>,
     /// In pop order: the last entry held cgroup 0's lists, so cgroup `i`
     /// of the next manager reuses the lists of the previous one's `i`.
     lrus: Vec<Lrus>,
@@ -184,6 +189,7 @@ impl MmScratch {
     /// Empties every buffer, keeping its capacity.
     fn scrub(&mut self) {
         self.pages.clear();
+        self.cold.clear();
         self.free_slots.clear();
         for lrus in &mut self.lrus {
             lrus.clear();
@@ -202,8 +208,8 @@ impl MemoryManager {
     }
 
     /// Like [`MemoryManager::new`], but adopts `scratch`'s buffer
-    /// capacity (emptied first) for the page slab, the free-slot list
-    /// and the LRU lists of the cgroups it creates.
+    /// capacity (emptied first) for the hot and cold page arrays, the
+    /// free-slot list and the LRU lists of the cgroups it creates.
     ///
     /// # Panics
     ///
@@ -221,6 +227,7 @@ impl MemoryManager {
             page_size: config.page_size,
             total_pages,
             pages: scratch.pages,
+            cold: scratch.cold,
             free_slots: scratch.free_slots,
             cgroups: Vec::new(),
             swap: config.swap,
@@ -245,6 +252,7 @@ impl MemoryManager {
         let lrus = self.cgroups.into_iter().rev().map(|c| c.lrus).collect();
         let mut scratch = MmScratch {
             pages: self.pages,
+            cold: self.cold,
             free_slots: self.free_slots,
             lrus,
         };
@@ -317,7 +325,7 @@ impl MemoryManager {
     /// blames itself when no trigger is attached).
     fn note_eviction_provenance(&mut self, id: PageId, owner: CgroupId) {
         if let Some(p) = &mut self.provenance {
-            let slot = id.0 as usize;
+            let slot = id.slot();
             if p.evicted_by.len() <= slot {
                 p.evicted_by.resize(slot + 1, None);
             }
@@ -331,7 +339,7 @@ impl MemoryManager {
         if let Some(p) = &mut self.provenance {
             let offender = p
                 .evicted_by
-                .get_mut(id.0 as usize)
+                .get_mut(id.slot())
                 .and_then(Option::take)
                 .unwrap_or(victim);
             let nanos = stall.as_nanos();
@@ -514,14 +522,25 @@ impl MemoryManager {
         self.swap.as_deref()
     }
 
-    /// A page's current descriptor, decoded by value from the packed
-    /// metadata slab.
+    /// A page's current descriptor, decoded by value from its hot and
+    /// cold records.
     ///
     /// # Panics
     ///
     /// Panics on an id not produced by this manager.
     pub fn page(&self, id: PageId) -> Page {
-        self.pages[id.0 as usize].view()
+        let slot = id.slot();
+        self.pages[slot].view(&self.cold[slot])
+    }
+
+    /// Whether the page is resident in DRAM. Equals
+    /// `page(id).is_resident()` but reads only the hot record.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an id not produced by this manager.
+    pub fn is_resident(&self, id: PageId) -> bool {
+        self.pages[id.slot()].is_resident()
     }
 
     // ------------------------------------------------------------------
@@ -596,7 +615,8 @@ impl MemoryManager {
 
     /// Inserts `n` resident pages of `kind` owned by `cg` at the head of
     /// its inactive list, appending their ids to `out`. Recycled slots
-    /// go first, in `free_slots` pop order, then new slab slots.
+    /// go first, in `free_slots` pop order; the rest are new slab slots,
+    /// filled with one `resize` per array.
     fn insert_pages(
         &mut self,
         cg: CgroupId,
@@ -605,32 +625,46 @@ impl MemoryManager {
         now: SimTime,
         out: &mut Vec<PageId>,
     ) {
+        let hot = PageMeta::new(kind, now, 0);
+        let cold = ColdMeta::new(cg);
         let lru = self.cgroups[cg.0].lrus.list_mut(kind, LruTier::Inactive);
-        for _ in 0..n {
-            let id = match self.free_slots.pop() {
-                Some(slot) => {
-                    // A recycled slot must not inherit the previous
-                    // tenant's eviction provenance.
-                    if let Some(p) = &mut self.provenance {
-                        if let Some(e) = p.evicted_by.get_mut(slot as usize) {
-                            *e = None;
-                        }
-                    }
-                    // Preserve the slot's generation across reuse: the
-                    // free already bumped it past every stale LRU entry
-                    // of the previous tenant, so none can validate
-                    // against the new page.
-                    let meta = &mut self.pages[slot as usize];
-                    *meta = PageMeta::new(kind, cg, now, meta.gen);
-                    PageId(slot)
-                }
-                None => {
-                    self.pages.push(PageMeta::new(kind, cg, now, 0));
-                    PageId(self.pages.len() as u64 - 1)
-                }
+        let mut fresh = n;
+        while fresh > 0 {
+            let Some(raw) = self.free_slots.pop() else {
+                break;
             };
-            lru.push(id, self.pages[id.0 as usize].gen);
+            let id = PageId(raw);
+            // A recycled slot must not inherit the previous tenant's
+            // eviction provenance.
+            if let Some(p) = &mut self.provenance {
+                if let Some(e) = p.evicted_by.get_mut(id.slot()) {
+                    *e = None;
+                }
+            }
+            // Preserve the slot's generation across reuse: the free
+            // already bumped it past every stale LRU entry of the
+            // previous tenant, so none can validate against the new page.
+            let meta = &mut self.pages[id.slot()];
+            *meta = PageMeta {
+                gen: meta.gen,
+                ..hot
+            };
+            self.cold[id.slot()] = cold;
+            lru.push(id, meta.gen);
             out.push(id);
+            fresh -= 1;
+        }
+        if fresh > 0 {
+            let start = self.pages.len();
+            let end = start + fresh as usize;
+            // One range check covers every new slot up to `last`.
+            let last = PageId::from_slot(end - 1);
+            self.pages.resize(end, hot);
+            self.cold.resize(end, cold);
+            for id in (start as u32..=last.0).map(PageId) {
+                lru.push(id, hot.gen);
+                out.push(id);
+            }
         }
         self.note_resident(cg, kind, n);
     }
@@ -639,8 +673,8 @@ impl MemoryManager {
     /// discarded from the backend; shadow entries are dropped.
     pub fn free_pages_of(&mut self, ids: &[PageId]) {
         for &id in ids {
-            let meta = &self.pages[id.0 as usize];
-            let (kind, owner, state) = (meta.kind(), meta.owner(), meta.state());
+            let (meta, cold) = (&self.pages[id.slot()], &self.cold[id.slot()]);
+            let (kind, owner, state) = (meta.kind(), cold.owner(), meta.state(cold));
             match state {
                 PageState::Resident { tier } => {
                     self.cgroups[owner.0].lrus.list_mut(kind, tier).forget_one();
@@ -657,7 +691,7 @@ impl MemoryManager {
                 }
                 PageState::Freed => continue,
             }
-            let meta = &mut self.pages[id.0 as usize];
+            let meta = &mut self.pages[id.slot()];
             meta.set_freed();
             // Invalidate any LRU entry left behind so it can never
             // validate against this slot's next tenant.
@@ -792,7 +826,7 @@ impl MemoryManager {
     ///
     /// Panics if the page was freed.
     pub fn access(&mut self, id: PageId, now: SimTime) -> AccessOutcome {
-        let meta = &mut self.pages[id.0 as usize];
+        let meta = &mut self.pages[id.slot()];
         if meta.is_resident() {
             meta.last_access = now;
             if meta.flags & (FLAG_INACTIVE | FLAG_REFERENCED) == (FLAG_INACTIVE | FLAG_REFERENCED) {
@@ -801,7 +835,7 @@ impl MemoryManager {
                 meta.set_referenced(false);
                 meta.set_resident(LruTier::Active);
                 meta.gen = meta.gen.wrapping_add(1);
-                let (kind, owner, gen) = (meta.kind(), meta.owner(), meta.gen);
+                let (kind, owner, gen) = (meta.kind(), self.cold[id.slot()].owner(), meta.gen);
                 let lrus = &mut self.cgroups[owner.0].lrus;
                 lrus.list_mut(kind, LruTier::Inactive).forget_one();
                 lrus.list_mut(kind, LruTier::Active).push(id, gen);
@@ -810,8 +844,9 @@ impl MemoryManager {
             }
             return AccessOutcome::Hit;
         }
-        let owner = meta.owner();
-        match meta.state() {
+        let cold = &self.cold[id.slot()];
+        let owner = cold.owner();
+        match meta.state(cold) {
             PageState::Offloaded { token } => self.swap_in(id, owner, token, now),
             PageState::EvictedFile { shadow } => self.file_fault(id, owner, shadow, now),
             PageState::Freed => panic!("access to freed {id}"),
@@ -836,7 +871,7 @@ impl MemoryManager {
     ) -> BatchAccessStats {
         let mut stats = BatchAccessStats::default();
         for &id in ids {
-            let meta = &mut self.pages[id.0 as usize];
+            let meta = &mut self.pages[id.slot()];
             let fast = meta.is_resident()
                 && meta.flags & (FLAG_INACTIVE | FLAG_REFERENCED)
                     != (FLAG_INACTIVE | FLAG_REFERENCED);
@@ -882,7 +917,7 @@ impl MemoryManager {
         }
         self.cgroups[owner.0].anon_offloaded -= PageCount::new(1);
         let reclaim_stall = self.ensure_free(1).unwrap_or(SimDuration::ZERO);
-        let meta = &mut self.pages[id.0 as usize];
+        let meta = &mut self.pages[id.slot()];
         meta.set_resident(LruTier::Inactive);
         meta.set_referenced(true);
         meta.last_access = now;
@@ -922,7 +957,7 @@ impl MemoryManager {
         } else {
             LruTier::Inactive
         };
-        let meta = &mut self.pages[id.0 as usize];
+        let meta = &mut self.pages[id.slot()];
         meta.set_resident(tier);
         meta.set_referenced(false);
         meta.last_access = now;
@@ -1063,7 +1098,7 @@ impl MemoryManager {
                 self.cgroups[cg.0]
                     .lrus
                     .list_mut(kind, LruTier::Inactive)
-                    .pop_valid(|id| pages[id.0 as usize].gen)
+                    .pop_valid(|id| pages[id.slot()].gen)
             };
             let Some(id) = candidate else {
                 // Inactive exhausted; force a demotion or give up.
@@ -1073,17 +1108,18 @@ impl MemoryManager {
                 continue;
             };
             debug_assert_eq!(
-                self.pages[id.0 as usize].state(),
+                self.page(id).state(),
                 PageState::Resident {
                     tier: LruTier::Inactive
                 },
                 "stamp-fresh inactive entry out of sync with page state"
             );
-            debug_assert_eq!(self.pages[id.0 as usize].owner(), cg);
-            debug_assert_eq!(self.pages[id.0 as usize].kind(), kind);
-            if self.pages[id.0 as usize].referenced() {
+            debug_assert_eq!(self.page(id).owner(), cg);
+            debug_assert_eq!(self.page(id).kind(), kind);
+            let slot = id.slot();
+            if self.pages[slot].referenced() {
                 // Second chance: activate and clear the bit.
-                let meta = &mut self.pages[id.0 as usize];
+                let meta = &mut self.pages[slot];
                 meta.set_referenced(false);
                 meta.set_resident(LruTier::Active);
                 let gen = meta.gen;
@@ -1096,7 +1132,7 @@ impl MemoryManager {
             match kind {
                 PageKind::File => {
                     let shadow = self.cgroups[cg.0].evictions.record_eviction();
-                    self.pages[id.0 as usize].set_evicted(shadow);
+                    self.pages[slot].set_evicted(&mut self.cold[slot], shadow);
                     self.note_eviction_provenance(id, cg);
                     self.cgroups[cg.0].file_evicted += PageCount::new(1);
                     self.note_unresident(cg, PageKind::File, 1);
@@ -1110,7 +1146,7 @@ impl MemoryManager {
                     };
                     match stored {
                         Some(out) => {
-                            self.pages[id.0 as usize].set_offloaded(out.token);
+                            self.pages[slot].set_offloaded(&mut self.cold[slot], out.token);
                             self.note_eviction_provenance(id, cg);
                             self.cgroups[cg.0].anon_offloaded += PageCount::new(1);
                             self.cgroups[cg.0].swapout_rate.add(1);
@@ -1120,7 +1156,7 @@ impl MemoryManager {
                         None => {
                             // Swap full: rotate back and stop anon scan.
                             outcome.swap_full = true;
-                            let meta = &mut self.pages[id.0 as usize];
+                            let meta = &mut self.pages[slot];
                             meta.set_resident(LruTier::Active);
                             let gen = meta.gen;
                             self.cgroups[cg.0]
@@ -1145,20 +1181,20 @@ impl MemoryManager {
             self.cgroups[cg.0]
                 .lrus
                 .list_mut(kind, LruTier::Active)
-                .pop_valid(|id| pages[id.0 as usize].gen)
+                .pop_valid(|id| pages[id.slot()].gen)
         };
         match candidate {
             Some(id) => {
                 debug_assert_eq!(
-                    self.pages[id.0 as usize].state(),
+                    self.page(id).state(),
                     PageState::Resident {
                         tier: LruTier::Active
                     },
                     "stamp-fresh active entry out of sync with page state"
                 );
-                debug_assert_eq!(self.pages[id.0 as usize].owner(), cg);
-                debug_assert_eq!(self.pages[id.0 as usize].kind(), kind);
-                let meta = &mut self.pages[id.0 as usize];
+                debug_assert_eq!(self.page(id).owner(), cg);
+                debug_assert_eq!(self.page(id).kind(), kind);
+                let meta = &mut self.pages[id.slot()];
                 meta.set_referenced(false);
                 meta.set_resident(LruTier::Inactive);
                 let gen = meta.gen;
@@ -1196,7 +1232,7 @@ impl MemoryManager {
                     self.cgroups[ci]
                         .lrus
                         .list_mut(kind, tier)
-                        .maybe_compact(|id| pages[id.0 as usize].gen);
+                        .maybe_compact(|id| pages[id.slot()].gen);
                 }
             }
         }
@@ -1221,8 +1257,8 @@ impl MemoryManager {
         );
         let mut counts = vec![0u64; thresholds.len()];
         let mut total = 0u64;
-        for meta in &self.pages {
-            if meta.owner() != cg || meta.is_freed() {
+        for (meta, cold) in self.pages.iter().zip(&self.cold) {
+            if cold.owner() != cg || meta.is_freed() {
                 continue;
             }
             total += 1;
@@ -1567,9 +1603,13 @@ mod tests {
                     .expect("reclaim makes room")
                     .pages,
             );
-            let states: Vec<PageState> = ids.iter().map(|&p| mm.page(p).state()).collect();
+            // `state` and `owner` come from the cold records.
+            let views: Vec<(PageState, CgroupId)> = ids
+                .iter()
+                .map(|&p| (mm.page(p).state(), mm.page(p).owner()))
+                .collect();
             let stats: Vec<CgroupStat> = mm.cgroup_ids().map(|c| mm.cgroup_stat(c)).collect();
-            (ids, states, stats, mm.global_stat())
+            (ids, views, stats, mm.global_stat())
         };
         let fresh = script(&mut MemoryManager::new(small_config(zswap())));
         // A donor with more cgroups, stale LRU entries and free slots.
@@ -1589,6 +1629,13 @@ mod tests {
             donor.free_pages_of(&pages[5..15]);
         }
         let mut adopted = MemoryManager::with_scratch(small_config(zswap()), donor.into_scratch());
+        // The hot slab, the cold array and the free slots start empty.
+        let lens = (
+            adopted.pages.len(),
+            adopted.cold.len(),
+            adopted.free_slots.len(),
+        );
+        assert_eq!(lens, (0, 0, 0), "scratch not emptied at adoption");
         assert_eq!(script(&mut adopted), fresh);
     }
 

@@ -6,14 +6,34 @@ use tmo_sim::SimTime;
 
 use crate::cgroup::CgroupId;
 
-/// Identity of a simulated page, stable across offload and eviction.
+/// Identity of a simulated page, stable across offload and eviction:
+/// its slot in the manager's page slab, held in 32 bits so id vectors
+/// and LRU entries stay half the size of a `u64` index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct PageId(pub(crate) u64);
+pub struct PageId(pub(crate) u32);
 
 impl PageId {
     /// Raw index value.
     pub fn as_u64(self) -> u64 {
-        self.0
+        u64::from(self.0)
+    }
+
+    /// The id of page-slab slot `slot`: the one way a slot becomes an id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` exceeds `u32::MAX`; a slab holds at most 2^32
+    /// pages.
+    pub(crate) fn from_slot(slot: usize) -> PageId {
+        match u32::try_from(slot) {
+            Ok(raw) => PageId(raw),
+            Err(_) => panic!("page slab overflow: slot {slot} exceeds the u32 page-id space"),
+        }
+    }
+
+    /// The page-slab slot this id names.
+    pub(crate) fn slot(self) -> usize {
+        self.0 as usize
     }
 }
 
@@ -82,8 +102,9 @@ pub enum PageState {
 
 /// One simulated page, as seen through [`crate::MemoryManager::page`].
 ///
-/// This is a by-value *view* decoded from the manager's packed
-/// `PageMeta` slab; mutating it has no effect on the manager.
+/// This is a by-value *view* decoded from the manager's hot `PageMeta`
+/// and cold `ColdMeta` records; mutating it has no effect on the
+/// manager.
 #[derive(Debug, Clone)]
 pub struct Page {
     pub(crate) kind: PageKind,
@@ -139,28 +160,49 @@ pub(crate) const FLAG_INACTIVE: u8 = 1 << 2;
 const FLAG_FILE: u8 = 1 << 3;
 pub(crate) const FLAG_REFERENCED: u8 = 1 << 4;
 
-/// Packed per-page metadata: one 32-byte record in the manager's dense
-/// page slab (`Vec<PageMeta>` indexed by `PageId`), replacing the wider
-/// enum-based descriptor on the hot access path.
+/// Hot per-page metadata: one 16-byte record in the manager's dense
+/// page slab (`Vec<PageMeta>` indexed by `PageId` slot), holding all
+/// the resident access fast path and the LRU scans read.
 ///
-/// `state`/`tier`/`kind`/`referenced` pack into one flags byte; `token`
-/// and `shadow` share the payload word (a page is never offloaded and
-/// evicted at once); `gen` is the generation stamp backing the LRU
-/// lists' lazy invalidation (see [`crate::lru::LruList`]).
-#[derive(Debug, Clone)]
+/// `state`/`tier`/`kind`/`referenced` pack into one flags byte; `gen`
+/// is the generation stamp backing the LRU lists' lazy invalidation
+/// (see [`crate::lru::LruList`]). The owner and the offload token or
+/// eviction shadow live in the page's [`ColdMeta`].
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct PageMeta {
-    pub(crate) flags: u8,
+    /// Last access time, for idle/coldness tracking (Figure 2).
+    pub(crate) last_access: SimTime,
     /// Generation stamp; an LRU entry for this page is live iff its
     /// recorded stamp equals this value. Bumped on every *logical*
     /// removal from a list (activation, free) so stale entries
     /// invalidate in O(1) without a sweep.
     pub(crate) gen: u32,
+    pub(crate) flags: u8,
+}
+
+/// Cold per-page metadata, in a side array parallel to the hot slab:
+/// read only off the resident fast path, on activations, faults,
+/// frees, evictions, [`Page`] views and coldness scans.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ColdMeta {
     /// Owning cgroup index ([`CgroupId`] narrowed to u32).
     owner: u32,
     /// `token` while offloaded, `shadow` while evicted, unused otherwise.
     payload: u64,
-    /// Last access time, for idle/coldness tracking (Figure 2).
-    pub(crate) last_access: SimTime,
+}
+
+impl ColdMeta {
+    /// A freshly allocated page's cold record.
+    pub(crate) fn new(owner: CgroupId) -> Self {
+        ColdMeta {
+            owner: u32::try_from(owner.0).expect("cgroup index exceeds u32"),
+            payload: 0,
+        }
+    }
+
+    pub(crate) fn owner(&self) -> CgroupId {
+        CgroupId(self.owner as usize)
+    }
 }
 
 impl PageMeta {
@@ -168,17 +210,15 @@ impl PageMeta {
     /// referenced. `gen` carries over from the slot's previous tenant
     /// (the manager preserves it across free/reuse so stale LRU entries
     /// for the old page can never validate against the new one).
-    pub(crate) fn new(kind: PageKind, owner: CgroupId, now: SimTime, gen: u32) -> Self {
+    pub(crate) fn new(kind: PageKind, now: SimTime, gen: u32) -> Self {
         let kind_flag = match kind {
             PageKind::Anon => 0,
             PageKind::File => FLAG_FILE,
         };
         PageMeta {
-            flags: STATE_RESIDENT | FLAG_INACTIVE | kind_flag,
-            gen,
-            owner: u32::try_from(owner.0).expect("cgroup index exceeds u32"),
-            payload: 0,
             last_access: now,
+            gen,
+            flags: STATE_RESIDENT | FLAG_INACTIVE | kind_flag,
         }
     }
 
@@ -188,10 +228,6 @@ impl PageMeta {
         } else {
             PageKind::File
         }
-    }
-
-    pub(crate) fn owner(&self) -> CgroupId {
-        CgroupId(self.owner as usize)
     }
 
     pub(crate) fn is_resident(&self) -> bool {
@@ -215,14 +251,16 @@ impl PageMeta {
         self.flags & FLAG_REFERENCED != 0
     }
 
-    pub(crate) fn state(&self) -> PageState {
+    /// The page's state; `cold` supplies the offload token or eviction
+    /// shadow.
+    pub(crate) fn state(&self, cold: &ColdMeta) -> PageState {
         match self.flags & STATE_MASK {
             STATE_RESIDENT => PageState::Resident { tier: self.tier() },
             STATE_OFFLOADED => PageState::Offloaded {
-                token: self.payload,
+                token: cold.payload,
             },
             STATE_EVICTED => PageState::EvictedFile {
-                shadow: self.payload,
+                shadow: cold.payload,
             },
             _ => PageState::Freed,
         }
@@ -236,14 +274,14 @@ impl PageMeta {
         self.flags = (self.flags & !(STATE_MASK | FLAG_INACTIVE)) | STATE_RESIDENT | tier_flag;
     }
 
-    pub(crate) fn set_offloaded(&mut self, token: u64) {
+    pub(crate) fn set_offloaded(&mut self, cold: &mut ColdMeta, token: u64) {
         self.flags = (self.flags & !(STATE_MASK | FLAG_INACTIVE)) | STATE_OFFLOADED;
-        self.payload = token;
+        cold.payload = token;
     }
 
-    pub(crate) fn set_evicted(&mut self, shadow: u64) {
+    pub(crate) fn set_evicted(&mut self, cold: &mut ColdMeta, shadow: u64) {
         self.flags = (self.flags & !(STATE_MASK | FLAG_INACTIVE)) | STATE_EVICTED;
-        self.payload = shadow;
+        cold.payload = shadow;
     }
 
     pub(crate) fn set_freed(&mut self) {
@@ -258,12 +296,12 @@ impl PageMeta {
         }
     }
 
-    /// Decodes the packed record into the public [`Page`] view.
-    pub(crate) fn view(&self) -> Page {
+    /// Decodes the hot and cold records into the public [`Page`] view.
+    pub(crate) fn view(&self, cold: &ColdMeta) -> Page {
         Page {
             kind: self.kind(),
-            owner: self.owner(),
-            state: self.state(),
+            owner: cold.owner(),
+            state: self.state(cold),
             referenced: self.referenced(),
             last_access: self.last_access,
         }
@@ -276,7 +314,7 @@ mod tests {
 
     #[test]
     fn new_pages_start_inactive_resident() {
-        let p = PageMeta::new(PageKind::Anon, CgroupId(0), SimTime::ZERO, 0).view();
+        let p = PageMeta::new(PageKind::Anon, SimTime::ZERO, 0).view(&ColdMeta::new(CgroupId(0)));
         assert_eq!(
             p.state(),
             PageState::Resident {
@@ -289,40 +327,57 @@ mod tests {
 
     #[test]
     fn meta_round_trips_every_state() {
-        let mut m = PageMeta::new(PageKind::File, CgroupId(3), SimTime::from_secs(1), 7);
+        let mut m = PageMeta::new(PageKind::File, SimTime::from_secs(1), 7);
+        let mut cold = ColdMeta::new(CgroupId(3));
         assert_eq!(m.kind(), PageKind::File);
-        assert_eq!(m.owner(), CgroupId(3));
+        assert_eq!(cold.owner(), CgroupId(3));
         assert_eq!(m.gen, 7);
         m.set_resident(LruTier::Active);
         assert_eq!(
-            m.state(),
+            m.state(&cold),
             PageState::Resident {
                 tier: LruTier::Active
             }
         );
         m.set_referenced(true);
         assert!(m.referenced());
-        m.set_offloaded(0xdead_beef);
-        assert_eq!(m.state(), PageState::Offloaded { token: 0xdead_beef });
+        m.set_offloaded(&mut cold, 0xdead_beef);
+        assert_eq!(m.state(&cold), PageState::Offloaded { token: 0xdead_beef });
         assert!(!m.is_resident());
         // The reference bit is orthogonal to the state tag.
         assert!(m.referenced());
         m.set_referenced(false);
-        m.set_evicted(41);
-        assert_eq!(m.state(), PageState::EvictedFile { shadow: 41 });
+        m.set_evicted(&mut cold, 41);
+        assert_eq!(m.state(&cold), PageState::EvictedFile { shadow: 41 });
         m.set_freed();
         assert!(m.is_freed());
-        assert_eq!(m.state(), PageState::Freed);
+        assert_eq!(m.state(&cold), PageState::Freed);
         // Kind and owner survive every transition.
         assert_eq!(m.kind(), PageKind::File);
-        assert_eq!(m.owner(), CgroupId(3));
+        assert_eq!(cold.owner(), CgroupId(3));
     }
 
     #[test]
-    fn meta_is_compact() {
-        // The whole point of the packed layout: at most 32 bytes per
-        // page, two records per cache line pair.
-        assert!(std::mem::size_of::<PageMeta>() <= 32);
+    fn layouts_are_pinned() {
+        // What one page access touches: a 16-byte hot record, a 4-byte
+        // id in the sampled id vectors, and an 8-byte LRU entry.
+        assert_eq!(std::mem::size_of::<PageMeta>(), 16);
+        assert_eq!(std::mem::size_of::<PageId>(), 4);
+        assert_eq!(std::mem::size_of::<(PageId, u32)>(), 8);
+    }
+
+    #[test]
+    fn slot_ids_span_the_u32_space() {
+        assert_eq!(PageId::from_slot(0), PageId(0));
+        let last = PageId::from_slot(u32::MAX as usize);
+        assert_eq!(last.as_u64(), u64::from(u32::MAX));
+        assert_eq!(last.slot(), u32::MAX as usize);
+    }
+
+    #[test]
+    #[should_panic(expected = "page slab overflow: slot 4294967296 exceeds the u32 page-id space")]
+    fn slot_past_u32_max_panics() {
+        PageId::from_slot(u32::MAX as usize + 1);
     }
 
     #[test]

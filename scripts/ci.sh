@@ -43,6 +43,20 @@ echo "==> benchmark package: build and test (release)"
 # it here makes an API change that breaks the benchmark fail CI.
 cargo test --release -q --offline --manifest-path benchmark/Cargo.toml
 
+echo "==> benchmark simulated output: four workloads at seed 1 vs golden"
+# The benchmark's stdout is simulated values only (digest over every
+# host's end state, simulated seconds, savings, pressure), identical for
+# any --seconds, except each run's last line: the JSON result with the
+# measured times, dropped here. The golden pins all four workloads, so
+# a change that moves any simulated value on the benchmark's hosts
+# fails here. About 20 s.
+cargo build --release -q --offline --manifest-path benchmark/Cargo.toml
+for workload in fleet_tiny zswap_steady ssd_write_regulated scenario_catalog; do
+    benchmark/target/release/tmo-benchmark \
+        --workload "$workload" --seed 1 --seconds 1 --trace 0 2>/dev/null | sed '$d'
+done | diff -u scripts/golden/benchmark_seed1.txt - \
+    || { echo "benchmark output drifted from scripts/golden/benchmark_seed1.txt"; exit 1; }
+
 echo "==> tmo-lint: determinism contract gate"
 # Static determinism analysis (DESIGN.md "Determinism contract"): the
 # per-file rules (hash-ordered iteration, ambient wall-clock/entropy,
