@@ -2,11 +2,10 @@
 //!
 //! TMO (§2.5, §3.4.1) offloads cold memory to a *memory offload
 //! backend*: in production either an NVMe SSD swap device or a zswap
-//! compressed-memory pool, with NVM and CXL devices expected in the
-//! future. The defining property of the fleet is *heterogeneity* — p99
-//! read latency alone spans 470 µs to 9.3 ms across SSD generations
-//! (Figure 5) — and TMO's central claim is that a PSI-driven controller
-//! adapts to that heterogeneity automatically.
+//! compressed-memory pool. The defining property of the fleet is
+//! *heterogeneity* — p99 read latency alone spans 470 µs to 9.3 ms
+//! across SSD generations (Figure 5) — and TMO's central claim is that
+//! a PSI-driven controller adapts to that heterogeneity automatically.
 //!
 //! This crate models those devices:
 //!
@@ -16,7 +15,6 @@
 //!   [`catalog`].
 //! * [`ZswapPool`] — a compressed-memory pool with a configurable
 //!   allocator model (zsmalloc / zbud / z3fold, §5.1) and ~40 µs reads.
-//! * [`NvmDevice`] — a simple future-tier byte-addressable device model.
 //! * [`TieredBackend`] — the §5.2 future-work hierarchy: zswap for warm
 //!   compressible pages over SSD for cold or incompressible ones, with
 //!   background demotion.
@@ -37,7 +35,6 @@
 //! ```
 
 pub mod catalog;
-pub mod nvm;
 pub mod queue;
 pub mod slab;
 pub mod ssd;
@@ -46,7 +43,6 @@ pub mod traits;
 pub mod zswap;
 
 pub use catalog::SsdModel;
-pub use nvm::NvmDevice;
 pub use queue::CongestionModel;
 pub use slab::TokenSlab;
 pub use ssd::SsdDevice;

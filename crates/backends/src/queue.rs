@@ -94,11 +94,6 @@ impl CongestionModel {
         self.arrivals_this_tick = 0;
     }
 
-    /// Estimated current arrival rate (IOPS).
-    pub fn arrival_rate(&self) -> f64 {
-        self.rate_ewma
-    }
-
     /// Current utilisation estimate `ρ` in `[0, ∞)`.
     pub fn utilization(&self) -> f64 {
         self.rate_ewma / self.capacity_iops
@@ -171,7 +166,7 @@ mod tests {
         let mut q = CongestionModel::new(100.0);
         q.on_arrival();
         q.tick(SimDuration::ZERO);
-        assert_eq!(q.arrival_rate(), 0.0);
+        assert_eq!(q.utilization(), 0.0);
     }
 
     #[test]

@@ -163,11 +163,6 @@ impl SsdDevice {
         (1.0 / (1.0 - u_eff.min(0.99))).min(WA_CAP)
     }
 
-    /// Current read-side latency inflation from congestion.
-    pub fn read_inflation(&self) -> f64 {
-        self.read_queue.inflation()
-    }
-
     fn draw_latency(&mut self, kind: IoKind, rng: &mut DetRng) -> SimDuration {
         let median = self.spec.median(kind).as_secs_f64();
         let base = rng.log_normal(median, self.spec.latency_sigma);
@@ -512,10 +507,12 @@ mod tests {
 
     #[test]
     fn congestion_inflates_loaded_device() {
-        let mut ssd = SsdDevice::new(SsdSpec {
+        let spec = SsdSpec {
             read_iops: 1000.0,
             ..test_spec()
-        });
+        };
+        let mut idle = SsdDevice::new(spec.clone());
+        let mut ssd = SsdDevice::new(spec);
         let mut rng = DetRng::seed_from_u64(8);
         for _ in 0..20 {
             for _ in 0..5000 {
@@ -523,6 +520,10 @@ mod tests {
             }
             ssd.tick(SimDuration::from_secs(1));
         }
-        assert!(ssd.read_inflation() > 2.0);
+        // Same draw on both devices: the ratio is the congestion alone.
+        let page = ByteSize::from_kib(4);
+        let loaded = ssd.access(IoKind::Read, page, &mut DetRng::seed_from_u64(9));
+        let fresh = idle.access(IoKind::Read, page, &mut DetRng::seed_from_u64(9));
+        assert!(loaded > fresh.mul_f64(2.0), "{loaded:?} vs {fresh:?}");
     }
 }

@@ -133,11 +133,6 @@ impl TieredBackend {
         self.demotions
     }
 
-    /// DRAM consumed by the warm tier's compressed pool.
-    pub fn warm_pool_bytes(&self) -> ByteSize {
-        self.warm.pool_bytes()
-    }
-
     fn demote_expired(&mut self) {
         // BTreeMap keeps this scan in token order, so the sequence of
         // SSD stores (and the rng draws they consume) is identical on
@@ -387,7 +382,7 @@ mod tests {
         assert_eq!(t.demotions(), 1);
         // The pool DRAM is free again, and the page still loads (from
         // the SSD now, so with block-device latency).
-        assert_eq!(t.warm_pool_bytes(), ByteSize::ZERO);
+        assert_eq!(t.stats().bytes_stored, ByteSize::ZERO);
         let lat = t.load(out.token, &mut rng).expect("still stored");
         assert!(lat > SimDuration::from_micros(100));
     }

@@ -20,8 +20,6 @@ pub enum BackendKind {
     Ssd,
     /// Compressed-memory pool in DRAM.
     Zswap,
-    /// Byte-addressable non-volatile memory.
-    Nvm,
 }
 
 impl fmt::Display for BackendKind {
@@ -29,7 +27,6 @@ impl fmt::Display for BackendKind {
         f.write_str(match self {
             BackendKind::Ssd => "ssd",
             BackendKind::Zswap => "zswap",
-            BackendKind::Nvm => "nvm",
         })
     }
 }
@@ -171,7 +168,6 @@ mod tests {
     fn backend_kind_display() {
         assert_eq!(BackendKind::Ssd.to_string(), "ssd");
         assert_eq!(BackendKind::Zswap.to_string(), "zswap");
-        assert_eq!(BackendKind::Nvm.to_string(), "nvm");
     }
 
     #[test]

@@ -138,13 +138,6 @@ impl ZswapPool {
         self.allocator
     }
 
-    /// DRAM currently consumed by compressed pages. This is the cost
-    /// side of zswap's saving: offloading a page frees `page_size` but
-    /// spends `stored_size` of DRAM.
-    pub fn pool_bytes(&self) -> ByteSize {
-        self.stats.bytes_stored
-    }
-
     fn draw_latency(&self, median: SimDuration, rng: &mut DetRng) -> SimDuration {
         SimDuration::from_secs_f64(rng.log_normal(median.as_secs_f64(), self.latency_sigma))
     }
@@ -295,10 +288,10 @@ mod tests {
         let out = pool.store(PAGE, 4.0, &mut rng).expect("fits");
         assert!(out.stored_bytes < PAGE.mul_f64(0.3));
         assert!(out.store_latency > SimDuration::ZERO);
-        assert_eq!(pool.pool_bytes(), out.stored_bytes);
+        assert_eq!(pool.stats().bytes_stored, out.stored_bytes);
         let lat = pool.load(out.token, &mut rng).expect("present");
         assert!(lat > SimDuration::ZERO);
-        assert_eq!(pool.pool_bytes(), ByteSize::ZERO);
+        assert_eq!(pool.stats().bytes_stored, ByteSize::ZERO);
     }
 
     #[test]
@@ -331,7 +324,7 @@ mod tests {
         let mut rng = DetRng::seed_from_u64(9);
         let out = pool.store(PAGE, 3.0, &mut rng).expect("fits");
         assert!(pool.discard(out.token));
-        assert_eq!(pool.pool_bytes(), ByteSize::ZERO);
+        assert_eq!(pool.stats().bytes_stored, ByteSize::ZERO);
         assert!(!pool.discard(out.token));
     }
 }

@@ -2,9 +2,7 @@
 //! every backend type behind the `OffloadBackend` trait object.
 
 use proptest::prelude::*;
-use tmo_backends::{
-    catalog, NvmDevice, OffloadBackend, SsdModel, TieredBackend, ZswapAllocator, ZswapPool,
-};
+use tmo_backends::{catalog, OffloadBackend, SsdModel, TieredBackend, ZswapAllocator, ZswapPool};
 use tmo_sim::{ByteSize, DetRng, SimDuration};
 
 const PAGE: ByteSize = ByteSize::from_kib(4);
@@ -38,7 +36,6 @@ fn backends() -> Vec<Box<dyn OffloadBackend>> {
             ZswapAllocator::Zsmalloc,
         )),
         Box::new(ZswapPool::new(ByteSize::from_mib(4), ZswapAllocator::Zbud)),
-        Box::new(NvmDevice::new(ByteSize::from_mib(4))),
         Box::new(TieredBackend::new(
             ZswapPool::new(ByteSize::from_mib(1), ZswapAllocator::Zsmalloc),
             catalog::fleet_device(SsdModel::C),

@@ -56,8 +56,8 @@ pub mod runner;
 pub mod runtime;
 
 pub use container::{ContainerConfig, ContainerId};
-pub use machine::{Machine, MachineConfig, MachineScratch, SwapKind, WorkingsetProfile};
-pub use modulate::{NullModulator, WorkloadModulator};
+pub use machine::{Machine, MachineConfig, MachineScratch, SwapKind};
+pub use modulate::WorkloadModulator;
 pub use runner::{FleetError, FleetRunner, FleetStats, HostCtx, HostOutcome, ShardArena};
 pub use runtime::{ControllerKind, TmoRuntime};
 pub use tmo_mm::ProvenanceCharge;
@@ -66,7 +66,7 @@ pub use tmo_mm::ProvenanceCharge;
 pub mod prelude {
     pub use crate::container::{ContainerConfig, ContainerId};
     pub use crate::machine::{Machine, MachineConfig, MachineScratch, SwapKind};
-    pub use crate::modulate::{NullModulator, WorkloadModulator};
+    pub use crate::modulate::WorkloadModulator;
     pub use crate::runner::{FleetRunner, FleetStats, HostCtx, HostOutcome, ShardArena};
     pub use crate::runtime::{ControllerKind, TmoRuntime};
     pub use tmo_backends::{SsdModel, ZswapAllocator};

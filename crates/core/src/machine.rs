@@ -1,6 +1,6 @@
 //! One simulated datacenter host.
 
-use tmo_backends::{NvmDevice, OffloadBackend, SsdModel, ZswapAllocator, ZswapPool};
+use tmo_backends::{OffloadBackend, SsdModel, ZswapAllocator, ZswapPool};
 use tmo_faults::{FaultConfig, FaultPlan, FaultyBackend, HostFaults, SignalFate};
 use tmo_mm::manager::AllocError;
 use tmo_mm::{
@@ -33,9 +33,6 @@ pub enum SwapKind {
         /// Pool allocator model.
         allocator: ZswapAllocator,
     },
-    /// A byte-addressable NVM device of the given capacity (§5.2
-    /// future tier).
-    Nvm(ByteSize),
     /// The §5.2 tiered hierarchy: a zswap pool over an SSD, with
     /// background demotion of idle warm pages.
     Tiered {
@@ -95,33 +92,6 @@ impl Default for MachineConfig {
             seed: 42,
             faults: None,
         }
-    }
-}
-
-/// A workingset profile derived from a container's resident-size series
-/// under Senpai — the §3.3 observability product: "an accurate
-/// workingset profile of the application over time" that "allows
-/// application developers to more precisely provision memory capacity".
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WorkingsetProfile {
-    /// Samples the profile is computed from.
-    pub samples: usize,
-    /// Smallest resident size observed (MiB) — the controller's best
-    /// estimate of the true workingset floor.
-    pub min_mib: f64,
-    /// Median resident size (MiB).
-    pub p50_mib: f64,
-    /// 95th-percentile resident size (MiB).
-    pub p95_mib: f64,
-    /// Final resident size (MiB).
-    pub final_mib: f64,
-}
-
-impl WorkingsetProfile {
-    /// A provisioning recommendation: the p95 workingset plus a safety
-    /// headroom fraction.
-    pub fn recommended_mib(&self, headroom: f64) -> f64 {
-        self.p95_mib * (1.0 + headroom.max(0.0))
     }
 }
 
@@ -281,7 +251,6 @@ impl Machine {
                     *allocator,
                 )))
             }
-            SwapKind::Nvm(capacity) => Some(Box::new(NvmDevice::new(*capacity))),
             SwapKind::Tiered {
                 zswap_fraction,
                 allocator,
@@ -1207,43 +1176,6 @@ impl Machine {
         outcome
     }
 
-    /// Derives the container's workingset profile from its recorded
-    /// resident-size series, skipping the first `warmup_fraction` of the
-    /// run (the controller is still discovering cold memory there).
-    /// Returns `None` before any samples exist.
-    pub fn workingset_profile(
-        &self,
-        id: ContainerId,
-        warmup_fraction: f64,
-    ) -> Option<WorkingsetProfile> {
-        let series = self
-            .recorder
-            .get(self.containers[id.0].series?.resident_mib);
-        if series.is_empty() {
-            return None;
-        }
-        let horizon = self.now().as_secs_f64();
-        let from = horizon * warmup_fraction.clamp(0.0, 1.0);
-        let steady: Vec<f64> = series
-            .samples()
-            .filter(|s| s.time_secs >= from)
-            .map(|s| s.value)
-            .collect();
-        if steady.is_empty() {
-            return None;
-        }
-        let mut sorted = steady.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        let q = |p: f64| sorted[((sorted.len() - 1) as f64 * p).round() as usize];
-        Some(WorkingsetProfile {
-            samples: steady.len(),
-            min_mib: sorted[0],
-            p50_mib: q(0.5),
-            p95_mib: q(0.95),
-            final_mib: *steady.last().expect("non-empty"),
-        })
-    }
-
     /// Kills a container (the §3.2.4 oomd action): frees every page it
     /// owns — resident, offloaded, and shadow entries — and stops its
     /// workload. The container id stays valid for inspection.
@@ -1344,7 +1276,7 @@ impl Machine {
     /// offloaded bytes minus the container's share of the compressed
     /// pool's DRAM cost (apportioned over the pool actually in use, so
     /// pages a tiered backend demoted to SSD cost nothing). For pure
-    /// SSD/NVM backends this equals the offloaded bytes.
+    /// SSD backends this equals the offloaded bytes.
     pub fn net_savings_bytes(&self, id: ContainerId) -> ByteSize {
         let c = &self.containers[id.0];
         let stat = self.mm.cgroup_stat(c.cg);
@@ -1598,32 +1530,6 @@ mod tests {
             after * 2 >= before,
             "churned {before} pages, then {after} after restart"
         );
-    }
-
-    #[test]
-    fn workingset_profile_reflects_controller_discovery() {
-        let mut m = Machine::new(MachineConfig {
-            dram: ByteSize::from_mib(256),
-            swap: SwapKind::Zswap {
-                capacity_fraction: 0.3,
-                allocator: ZswapAllocator::Zsmalloc,
-            },
-            ..MachineConfig::default()
-        });
-        let id = m.add_container(&small_profile());
-        assert!(m.workingset_profile(id, 0.5).is_none(), "no samples yet");
-        let mut rt = crate::TmoRuntime::with_senpai(m, tmo_senpai::SenpaiConfig::accelerated(40.0));
-        rt.run(SimDuration::from_mins(3));
-        let m = rt.machine();
-        let profile = m.workingset_profile(id, 0.5).expect("recorded");
-        assert!(profile.samples > 100);
-        // The discovered workingset sits below the 64 MiB footprint.
-        assert!(profile.min_mib < 64.0);
-        assert!(profile.p50_mib <= profile.p95_mib);
-        assert!(profile.p95_mib <= 64.0 + 1e-9);
-        // The recommendation adds headroom on top of p95.
-        let rec = profile.recommended_mib(0.1);
-        assert!((rec - profile.p95_mib * 1.1).abs() < 1e-9);
     }
 
     #[test]

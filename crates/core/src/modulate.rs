@@ -72,26 +72,3 @@ pub trait WorkloadModulator: std::fmt::Debug + Send {
         None
     }
 }
-
-/// The neutral modulator: every hook is a no-op. Attaching it is
-/// behaviourally identical to attaching nothing (pinned by test).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NullModulator;
-
-impl WorkloadModulator for NullModulator {}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn null_modulator_is_neutral() {
-        let m = NullModulator;
-        let now = SimTime::from_secs(5);
-        let dt = SimDuration::from_millis(100);
-        assert_eq!(m.demand_scale(0, now), 1.0);
-        assert_eq!(m.leak_bytes_per_sec(1, now), ByteSize::ZERO);
-        assert_eq!(m.churn_bytes_per_sec(2, now), ByteSize::ZERO);
-        assert_eq!(m.storm_kill_victim(7, now, dt, 3), None);
-    }
-}

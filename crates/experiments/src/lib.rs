@@ -247,10 +247,11 @@ pub fn find(key: Key<'_>) -> Option<&'static Experiment> {
 }
 
 /// Resolves `repro`'s selection flags to registry rows, in run order:
-/// the figures (every figure under `all`, else `figures` as given), then
+/// the figures (every figure under `all`, then `figures` as given), then
 /// `names`, then the ablations (`all` or `ablations`), then the
-/// extensions (`all` or `extensions`). Fails on the first figure number
-/// or name the registry does not know.
+/// extensions (`all` or `extensions`). A row selected more than once
+/// runs once, at its first position. Fails on the first figure number
+/// or name the registry does not know, even under `all`.
 pub fn select(
     figures: &[u32],
     names: &[String],
@@ -259,19 +260,18 @@ pub fn select(
     extensions: bool,
 ) -> Result<Vec<&'static Experiment>, String> {
     let suite = |suite: Suite| EXPERIMENTS.iter().filter(move |e| e.suite == suite);
-    let mut selected: Vec<&'static Experiment> = Vec::new();
+    let mut requested: Vec<&'static Experiment> = Vec::new();
     if all {
-        selected.extend(suite(Suite::Figures));
-    } else {
-        for &number in figures {
-            selected.push(
-                find(Key::Figure(number))
-                    .ok_or_else(|| format!("figure {number} is not part of the paper"))?,
-            );
-        }
+        requested.extend(suite(Suite::Figures));
+    }
+    for &number in figures {
+        requested.push(
+            find(Key::Figure(number))
+                .ok_or_else(|| format!("figure {number} is not part of the paper"))?,
+        );
     }
     for name in names {
-        selected.push(find(Key::Named(name)).ok_or_else(|| {
+        requested.push(find(Key::Named(name)).ok_or_else(|| {
             let known: Vec<&str> = EXPERIMENTS
                 .iter()
                 .filter_map(|e| match e.key {
@@ -283,10 +283,16 @@ pub fn select(
         })?);
     }
     if all || ablations {
-        selected.extend(suite(Suite::Ablations));
+        requested.extend(suite(Suite::Ablations));
     }
     if all || extensions {
-        selected.extend(suite(Suite::Extensions));
+        requested.extend(suite(Suite::Extensions));
+    }
+    let mut selected: Vec<&'static Experiment> = Vec::new();
+    for row in requested {
+        if !selected.iter().any(|e| e.key == row.key) {
+            selected.push(row);
+        }
     }
     Ok(selected)
 }
@@ -357,6 +363,18 @@ mod tests {
             ]
         );
         assert!(select(&[15], &[], false, false, false).is_err());
+        assert!(select(&[99], &[], true, false, false).is_err());
+        // A row named twice runs once, at its first position.
+        let twice = select(&[3, 3], &[], false, false, false).expect("known keys");
+        assert_eq!(keys(&twice), [Key::Figure(3)]);
+        let chaos = ["ext_chaos".to_string()];
+        let picked = select(&[], &chaos, false, false, true).expect("known keys");
+        let extensions = select(&[], &[], false, false, true).expect("known keys");
+        assert_eq!(picked.len(), extensions.len());
+        assert_eq!(picked[0].key, Key::Named("ext_chaos"));
+        let all = select(&[], &[], true, false, false).expect("flags resolve");
+        let all_again = select(&[3], &[], true, false, false).expect("known keys");
+        assert_eq!(keys(&all_again), keys(&all));
         let err = select(&[], &["nope".to_string()], false, false, false).unwrap_err();
         assert!(err.contains("ext_blame_validation"), "{err}");
     }

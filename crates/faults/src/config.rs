@@ -114,34 +114,6 @@ impl FaultConfig {
     pub fn per_op(&self, rate: f64) -> f64 {
         (rate * self.intensity).clamp(0.0, 1.0)
     }
-
-    /// The conservative union of two fault profiles: field-wise maximum
-    /// of the intensity dial, every rate, and the spike factor. The
-    /// composed config fires each fault class **at least as often** as
-    /// either input (`max(i_a, i_b) · max(r_a, r_b) ≥ max(i_a·r_a,
-    /// i_b·r_b)`), which is what scenario authors want when stacking an
-    /// adversarial-traffic script on top of an infrastructure chaos
-    /// dial: neither schedule is diluted by the other.
-    ///
-    /// Algebra (pinned by the `tmo-faults` property tests): commutative,
-    /// idempotent, and `compose` with [`FaultConfig::off`] is the
-    /// identity for any config whose `spike_factor ≥ 1` (all shipped
-    /// profiles).
-    pub fn compose(&self, other: &FaultConfig) -> FaultConfig {
-        FaultConfig {
-            intensity: self.intensity.max(other.intensity),
-            spike_per_min: self.spike_per_min.max(other.spike_per_min),
-            spike_factor: self.spike_factor.max(other.spike_factor),
-            transient_io_rate: self.transient_io_rate.max(other.transient_io_rate),
-            device_death_per_min: self.device_death_per_min.max(other.device_death_per_min),
-            wear_out_per_min: self.wear_out_per_min.max(other.wear_out_per_min),
-            pool_exhaust_per_min: self.pool_exhaust_per_min.max(other.pool_exhaust_per_min),
-            stale_signal_rate: self.stale_signal_rate.max(other.stale_signal_rate),
-            dropped_signal_rate: self.dropped_signal_rate.max(other.dropped_signal_rate),
-            crash_per_min: self.crash_per_min.max(other.crash_per_min),
-            panic_per_min: self.panic_per_min.max(other.panic_per_min),
-        }
-    }
 }
 
 #[cfg(test)]

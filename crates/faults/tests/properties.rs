@@ -1,85 +1,14 @@
-//! Property tests for fault-plan composition edge cases.
+//! Property tests for fault-schedule edge cases.
 //!
-//! Pins the algebra that scenario authors rely on when stacking fault
-//! schedules: [`FaultConfig::compose`] is a conservative union, rate
-//! conversion never fires on zero-length windows or zero rates, and
-//! schedules that are supposed to fire on tick 0 actually do.
+//! Rate conversion never fires on zero-length windows or zero rates,
+//! schedules that are supposed to fire on tick 0 actually do, and
+//! overlapping fault classes draw independently.
 
 use proptest::prelude::*;
 use tmo_faults::{FaultConfig, FaultPlan, HostFaults};
 use tmo_sim::SimDuration;
 
-/// A FaultConfig drawn from the shipped profile family plus independent
-/// per-field noise, so composition is tested off the chaos() diagonal.
-fn jitter_config(intensity: f64, bits: u64) -> FaultConfig {
-    let mut c = FaultConfig::chaos(intensity);
-    // Deterministic per-field scaling in (0, 2]: field i uses byte i.
-    let f = |i: u32| ((bits >> (i * 8)) & 0xFF) as f64 / 128.0 + 0.004;
-    c.spike_per_min *= f(0);
-    c.spike_factor = 1.0 + (c.spike_factor - 1.0) * f(1);
-    c.transient_io_rate = (c.transient_io_rate * f(2)).min(1.0);
-    c.device_death_per_min *= f(3);
-    c.wear_out_per_min *= f(4);
-    c.pool_exhaust_per_min *= f(5);
-    c.stale_signal_rate = (c.stale_signal_rate * f(6)).min(1.0);
-    c.crash_per_min *= f(7);
-    c
-}
-
 proptest! {
-    /// compose is commutative: field-wise max has no sided bias.
-    #[test]
-    fn compose_commutes(ia in 0.0f64..1.0, ib in 0.0f64..1.0, ba in any::<u64>(), bb in any::<u64>()) {
-        let a = jitter_config(ia, ba);
-        let b = jitter_config(ib, bb);
-        prop_assert_eq!(a.compose(&b), b.compose(&a));
-    }
-
-    /// compose is idempotent: stacking a schedule on itself changes nothing.
-    #[test]
-    fn compose_idempotent(i in 0.0f64..1.0, bits in any::<u64>()) {
-        let a = jitter_config(i, bits);
-        prop_assert_eq!(a.compose(&a), a);
-    }
-
-    /// off() is the identity element for every shipped-style profile
-    /// (all of which have spike_factor >= 1).
-    #[test]
-    fn compose_off_is_identity(i in 0.0f64..1.0, bits in any::<u64>()) {
-        let a = jitter_config(i, bits);
-        prop_assert_eq!(a.compose(&FaultConfig::off()), a);
-        prop_assert_eq!(FaultConfig::off().compose(&a), a);
-    }
-
-    /// The union dominates both inputs: every per-tick and per-op
-    /// probability of the composed config is >= the same probability of
-    /// either input, for overlapping windows of any tick length. This is
-    /// the "neither schedule is diluted" guarantee.
-    #[test]
-    fn compose_dominates_inputs(
-        ia in 0.0f64..1.0,
-        ib in 0.0f64..1.0,
-        ba in any::<u64>(),
-        bb in any::<u64>(),
-        dt_ms in 1u64..120_000,
-    ) {
-        let a = jitter_config(ia, ba);
-        let b = jitter_config(ib, bb);
-        let u = a.compose(&b);
-        let dt = SimDuration::from_millis(dt_ms);
-        for (ra, rb, ru) in [
-            (a.spike_per_min, b.spike_per_min, u.spike_per_min),
-            (a.crash_per_min, b.crash_per_min, u.crash_per_min),
-            (a.panic_per_min, b.panic_per_min, u.panic_per_min),
-            (a.device_death_per_min, b.device_death_per_min, u.device_death_per_min),
-        ] {
-            prop_assert!(u.per_tick(ru, dt) >= a.per_tick(ra, dt));
-            prop_assert!(u.per_tick(ru, dt) >= b.per_tick(rb, dt));
-        }
-        prop_assert!(u.per_op(u.transient_io_rate) >= a.per_op(a.transient_io_rate));
-        prop_assert!(u.per_op(u.transient_io_rate) >= b.per_op(b.transient_io_rate));
-    }
-
     /// Zero-length windows never fire: per_tick over dt = 0 is exactly 0
     /// regardless of rate or intensity, and a zero rate is 0 for any dt.
     #[test]
@@ -122,8 +51,8 @@ proptest! {
     }
 
     /// Overlapping fault windows stay independent per salt: saturating
-    /// one class (via compose with a crash-heavy profile) does not
-    /// change whether another class fires on the same tick.
+    /// one class does not change whether another class fires on the
+    /// same tick.
     #[test]
     fn overlapping_windows_are_independent(
         seed in any::<u64>(),
@@ -132,39 +61,15 @@ proptest! {
         i in 0.01f64..1.0,
     ) {
         let base = FaultConfig::chaos(i);
-        let mut crashy = FaultConfig::off();
-        crashy.intensity = 1.0;
-        crashy.crash_per_min = 1.0e9;
-        let stacked = base.compose(&crashy);
+        let mut stacked = base;
+        stacked.crash_per_min = 1.0e9;
         let dt = SimDuration::from_secs(1);
         let a = HostFaults::new(seed, host, base);
         let b = HostFaults::new(seed, host, stacked);
         // Same seed, same tick: the panic draw is unaffected by the
         // crash window now covering every tick...
-        prop_assert!(stacked.per_tick(stacked.panic_per_min, dt) >= base.per_tick(base.panic_per_min, dt));
-        if (stacked.per_tick(stacked.panic_per_min, dt) - base.per_tick(base.panic_per_min, dt)).abs() < 1e-15 {
-            prop_assert_eq!(a.panics_at(tick, dt), b.panics_at(tick, dt));
-        }
+        prop_assert_eq!(a.panics_at(tick, dt), b.panics_at(tick, dt));
         // ...while the crash class itself is now certain.
         prop_assert!(b.crash_victim(tick, dt, 4).is_some());
     }
-}
-
-#[test]
-fn compose_unions_signal_faults() {
-    // Deterministic spot check: a signal-noise-only profile stacked on a
-    // crash-only profile keeps both behaviours at full strength.
-    let mut signals = FaultConfig::off();
-    signals.intensity = 0.5;
-    signals.stale_signal_rate = 0.2;
-    signals.dropped_signal_rate = 0.1;
-    let mut crashes = FaultConfig::off();
-    crashes.intensity = 1.0;
-    crashes.crash_per_min = 0.4;
-    let u = signals.compose(&crashes);
-    assert_eq!(u.intensity, 1.0);
-    assert_eq!(u.stale_signal_rate, 0.2);
-    assert_eq!(u.dropped_signal_rate, 0.1);
-    assert_eq!(u.crash_per_min, 0.4);
-    assert!(!u.is_off());
 }

@@ -41,7 +41,7 @@ pub struct MmConfig {
     pub page_size: ByteSize,
     /// Total DRAM.
     pub total_dram: ByteSize,
-    /// Swap backend (SSD swap partition, zswap pool, or NVM).
+    /// Swap backend (SSD swap partition, zswap pool, or both tiered).
     pub swap: Option<Box<dyn OffloadBackend>>,
     /// Filesystem device for file-cache reads.
     pub fs_device: SsdDevice,
@@ -516,7 +516,7 @@ impl MemoryManager {
         &self.fs
     }
 
-    /// The swap backend, if the host has one — zswap, SSD, NVM or tiered
+    /// The swap backend, if the host has one — zswap, SSD or tiered
     /// (for §4.5 write-rate and device-health inspection).
     pub fn swap(&self) -> Option<&dyn OffloadBackend> {
         self.swap.as_deref()

@@ -106,19 +106,6 @@ impl BlameLedger {
             .sum()
     }
 
-    /// The offender charged the most for `victim`'s stall (ties go to
-    /// the smallest index; `None` if nothing was charged).
-    pub fn top_offender(&self, victim: usize) -> Option<(usize, f64)> {
-        let row = &self.charged[victim * self.n..(victim + 1) * self.n];
-        let mut best: Option<(usize, f64)> = None;
-        for (offender, &secs) in row.iter().enumerate() {
-            if secs > 0.0 && best.is_none_or(|(_, b)| secs > b) {
-                best = Some((offender, secs));
-            }
-        }
-        best
-    }
-
     /// The offender with the largest *cross-container* charge summed
     /// over every victim but itself — the host-level "who is the
     /// antagonist" answer. Self-charges (Senpai shrinking a container
@@ -184,7 +171,6 @@ mod tests {
         assert_eq!(ledger.charged(0, 1), 0.75);
         assert_eq!(ledger.charged(0, 2), 0.25);
         assert_eq!(ledger.charged(0, 0), 0.0);
-        assert_eq!(ledger.top_offender(0), Some((1, 0.75)));
         let edge = ledger.top_edge().expect("cross-container edge");
         assert_eq!((edge.victim, edge.offender), (0, 1));
         assert_eq!(edge.share, 0.75);
@@ -204,7 +190,6 @@ mod tests {
         ledger.observe(&[secs(1.5), secs(0.0)], &[0.0, -10.0]);
         assert_eq!(ledger.charged(0, 0), 1.5);
         assert_eq!(ledger.top_edge(), None, "self-charges are not edges");
-        assert_eq!(ledger.top_offender(0), Some((0, 1.5)));
     }
 
     #[test]
@@ -213,8 +198,6 @@ mod tests {
         ledger.observe(&[secs(1.0), secs(0.0)], &[100.0, 100.0]);
         assert_eq!(ledger.charged(0, 0), 0.5);
         assert_eq!(ledger.charged(0, 1), 0.5);
-        // Tie between self and neighbour: smallest index wins.
-        assert_eq!(ledger.top_offender(0), Some((0, 0.5)));
     }
 
     #[test]
@@ -226,9 +209,7 @@ mod tests {
         assert_eq!(ledger.charged(0, 1), 1.5);
         assert_eq!(ledger.charged(0, 0), 2.0);
         assert_eq!(ledger.total(0), 3.5);
-        // Self-charge wins the per-victim view...
-        assert_eq!(ledger.top_offender(0), Some((0, 2.0)));
-        // ...but the cross view skips it.
+        // The cross view skips the larger self-charge.
         assert_eq!(ledger.top_cross_offender(), Some((1, 1.5)));
         let edge = ledger.top_edge().expect("cross edge");
         assert_eq!((edge.victim, edge.offender), (0, 1));
@@ -238,7 +219,6 @@ mod tests {
     #[test]
     fn empty_ledger_has_no_offenders() {
         let ledger = BlameLedger::new(2);
-        assert_eq!(ledger.top_offender(0), None);
         assert_eq!(ledger.top_cross_offender(), None);
         assert_eq!(ledger.top_edge(), None);
         assert!(BlameLedger::new(0).is_empty());

@@ -66,17 +66,6 @@ impl WorkloadModulator for ScenarioEngine {
                             DiurnalPattern::with_period(trough, period_secs).demand_fraction(now);
                     }
                 }
-                // Pure square wave over absolute time: no plan draws,
-                // so every host surges in lockstep.
-                EventKind::CorrelatedBurst { magnitude, bursts } if bursts > 0 => {
-                    let slice = event.window.duration.as_nanos() / u64::from(bursts);
-                    if slice > 0 {
-                        let since = now.as_nanos() - event.window.start.as_nanos();
-                        if since % slice < slice / 2 {
-                            scale *= magnitude;
-                        }
-                    }
-                }
                 _ => {}
             }
         }
@@ -118,44 +107,21 @@ impl WorkloadModulator for ScenarioEngine {
             return None;
         }
         for (i, event) in self.scenario.events.iter().enumerate() {
+            let EventKind::ChurnStorm { crashes_per_min } = event.kind else {
+                continue;
+            };
             if !event.window.contains(now) {
                 continue;
             }
-            match event.kind {
-                EventKind::ChurnStorm { crashes_per_min } => {
-                    let p = (crashes_per_min * dt.as_secs_f64() / 60.0).clamp(0.0, 1.0);
-                    let salt = STORM_SALT ^ ((i as u64) << 8);
-                    if self.plan.chance(tick, salt, p) {
-                        // First firing storm wins the tick; the machine
-                        // kills at most one container per tick, matching
-                        // crash churn.
-                        return match event.target {
-                            Target::Container(c) => Some((c as u64) % containers),
-                            Target::All => self.plan.pick(tick, salt ^ 1, containers),
-                        };
-                    }
-                }
-                EventKind::CascadeKill { stagger } => {
-                    // The k-th kill is scheduled at `start + k*stagger`
-                    // and lands on the first tick at or after it. No
-                    // plan draws: the cascade is host-independent.
-                    let since = now.as_nanos() - event.window.start.as_nanos();
-                    let stagger_ns = stagger.as_nanos();
-                    let k = match since.checked_div(stagger_ns) {
-                        Some(k) => k,
-                        // Zero stagger: the whole cascade collapses to
-                        // one kill on the window's first tick.
-                        None if since >= dt.as_nanos() => continue,
-                        None => 0,
-                    };
-                    if since - k * stagger_ns < dt.as_nanos() {
-                        return match event.target {
-                            Target::Container(c) => Some((c as u64 + k) % containers),
-                            Target::All => Some(k % containers),
-                        };
-                    }
-                }
-                _ => {}
+            let p = (crashes_per_min * dt.as_secs_f64() / 60.0).clamp(0.0, 1.0);
+            let salt = STORM_SALT ^ ((i as u64) << 8);
+            if self.plan.chance(tick, salt, p) {
+                // First firing storm wins the tick; the machine kills at
+                // most one container per tick, matching crash churn.
+                return match event.target {
+                    Target::Container(c) => Some((c as u64) % containers),
+                    Target::All => self.plan.pick(tick, salt ^ 1, containers),
+                };
             }
         }
         None

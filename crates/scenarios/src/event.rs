@@ -50,15 +50,6 @@ impl Window {
     pub fn contains(&self, now: SimTime) -> bool {
         !self.is_empty() && now >= self.start && now < self.end()
     }
-
-    /// Whether two windows share at least one instant. Zero-length
-    /// windows overlap nothing.
-    pub fn overlaps(&self, other: &Window) -> bool {
-        !self.is_empty()
-            && !other.is_empty()
-            && self.start < other.end()
-            && other.start < self.end()
-    }
 }
 
 /// Which container(s) an event applies to.
@@ -119,32 +110,6 @@ pub enum EventKind {
         /// Expected crashes per minute while the window is open.
         crashes_per_min: f64,
     },
-    /// A square-wave demand burst that is *correlated across hosts*: the
-    /// window is cut into `bursts` equal slices and demand is multiplied
-    /// by `magnitude` during the first half of every slice. Unlike
-    /// [`EventKind::ChurnStorm`], nothing here consults the host seed —
-    /// the wave is a pure function of absolute simulated time, so every
-    /// host in a fleet surges and relaxes in lockstep (the "everyone
-    /// retries at once" shape real incidents produce). `bursts == 0` is
-    /// inert.
-    CorrelatedBurst {
-        /// Demand multiplier during the on-phase of each burst.
-        magnitude: f64,
-        /// Number of on/off cycles the window is divided into.
-        bursts: u32,
-    },
-    /// A cascading failure: one container is killed at the window
-    /// start, the next `stagger` later, and so on while the window is
-    /// open — the k-th kill lands at `start + k * stagger`. Victim
-    /// selection is round-robin from the target (no hash draws), so the
-    /// cascade is identical on every host: the correlated-outage
-    /// counterpart to the seed-diverse [`EventKind::ChurnStorm`]. A
-    /// zero `stagger` collapses the cascade to a single kill at the
-    /// window start.
-    CascadeKill {
-        /// Delay between consecutive kills in the cascade.
-        stagger: SimDuration,
-    },
 }
 
 /// One scripted behaviour: kind + target + active window.
@@ -193,7 +158,6 @@ mod tests {
         let w = Window::new(SimTime::from_secs(10), SimDuration::ZERO);
         assert!(w.is_empty());
         assert!(!w.contains(SimTime::from_secs(10)));
-        assert!(!w.overlaps(&Window::always()));
     }
 
     #[test]

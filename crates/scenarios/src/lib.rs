@@ -30,9 +30,6 @@
 //! * [`provenance`] — the planted-offender ground-truth harness that
 //!   scores both fills, and [`CausalLedger`], the provenance-filled
 //!   ledger's name kept as an alias.
-//! * [`trace`] — [`RecordedTrace`], a versioned byte format for
-//!   recorded per-container demand/leak/churn series, compiled into
-//!   scenario event lists.
 //! * [`run`] — [`run_scenario`] wires all of the above around a
 //!   [`tmo::TmoRuntime`] tick loop.
 //! * [`ab`] — [`paired_significance`] compares two controller configs
@@ -78,7 +75,6 @@ pub mod provenance;
 pub mod run;
 pub mod scenario;
 pub mod slo;
-pub mod trace;
 
 pub use ab::{paired_significance, Significance};
 pub use blame::{BlameAttribution, BlameLedger};
@@ -88,7 +84,6 @@ pub use provenance::{evaluate_planted, CausalLedger, GroundTruthRow, PlantedScen
 pub use run::{run_scenario, ScenarioOutcome, ScenarioRunConfig};
 pub use scenario::Scenario;
 pub use slo::{SloConfig, SloReport, SloTracker};
-pub use trace::{ContainerTrace, RecordedTrace, TraceError, TraceSample};
 
 /// Glob-import surface for experiments and tests.
 pub mod prelude {
@@ -102,5 +97,4 @@ pub mod prelude {
     pub use crate::run::{run_scenario, ScenarioOutcome, ScenarioRunConfig};
     pub use crate::scenario::{catalog, Scenario};
     pub use crate::slo::{SloConfig, SloReport, SloTracker};
-    pub use crate::trace::{ContainerTrace, RecordedTrace, TraceError, TraceSample};
 }

@@ -63,9 +63,7 @@ impl ScenarioOutcome {
 /// The machine must be freshly built (tick never called): the engine is
 /// attached before the first tick so the whole run is modulated. The
 /// scenario's *infrastructure* faults are **not** applied here — they
-/// must be baked into `MachineConfig::faults` at construction (compose
-/// them with any base profile via
-/// [`FaultConfig::compose`](tmo_faults::FaultConfig::compose)), because
+/// must be baked into `MachineConfig::faults` at construction, because
 /// a host's fault schedule is part of its identity.
 ///
 /// Returns the outcome plus the machine (for scratch recycling and

@@ -19,8 +19,7 @@ pub struct Scenario {
     pub summary: String,
     /// The scripted events.
     pub events: Vec<ScenarioEvent>,
-    /// Infrastructure faults to run underneath the traffic script
-    /// (compose with a base profile via [`FaultConfig::compose`]).
+    /// Infrastructure faults to run underneath the traffic script.
     pub faults: Option<FaultConfig>,
 }
 
@@ -187,8 +186,8 @@ pub mod catalog {
 
     /// The whole catalog in report order.
     ///
-    /// This list is pinned by goldens — new shapes go in
-    /// [`extended`], never here.
+    /// This list is pinned by goldens, and every [`EventKind`] must
+    /// appear in it (a unit test checks both).
     pub fn all(run: SimDuration, dram: ByteSize) -> Vec<Scenario> {
         vec![
             steady(run, dram),
@@ -198,114 +197,6 @@ pub mod catalog {
             sidecar_spike(run, dram),
             churn_storm(run, dram),
             composite(run, dram),
-        ]
-    }
-
-    /// A fleet-correlated demand burst: every host's demand square-waves
-    /// between 1x and 2.5x in lockstep over the middle half of the run —
-    /// the "everyone retries at once" shape seed-diverse events can't
-    /// produce.
-    pub fn correlated_burst(run: SimDuration, _dram: ByteSize) -> Scenario {
-        Scenario::new(
-            "correlated_burst",
-            "host-correlated square-wave demand bursts",
-        )
-        .with_event(
-            Target::All,
-            Window::new(at(run, 0.25), span(run, 0.5)),
-            EventKind::CorrelatedBurst {
-                magnitude: 2.5,
-                bursts: 4,
-            },
-        )
-    }
-
-    /// A cascading failure: starting 40% in, containers are killed one
-    /// after another, round-robin, at a fixed stagger — identical on
-    /// every host (the correlated-outage counterpart to `churn_storm`).
-    pub fn cascade_failure(run: SimDuration, _dram: ByteSize) -> Scenario {
-        Scenario::new(
-            "cascade_failure",
-            "staggered kill cascade across containers",
-        )
-        .with_event(
-            Target::All,
-            Window::new(at(run, 0.4), span(run, 0.25)),
-            EventKind::CascadeKill {
-                stagger: span(run, 0.08),
-            },
-        )
-    }
-
-    /// A recorded trace replayed through the scenario engine: an
-    /// in-code [`RecordedTrace`](crate::trace::RecordedTrace) — a
-    /// primary-workload demand wave riding over a sidecar leak-and-churn
-    /// episode — compiled by [`crate::trace`] into ordinary events.
-    pub fn trace_replay(run: SimDuration, dram: ByteSize) -> Scenario {
-        use crate::trace::{ContainerTrace, RecordedTrace, TraceSample};
-        // Eight samples spanning the run; rates scale with DRAM like
-        // every other catalog shape.
-        let leak = (dram.as_u64() as f64 * 0.06 / 60.0) as u64;
-        let churn = (dram.as_u64() as f64 * 0.04 / 60.0) as u64;
-        let demand = |d: u32| TraceSample {
-            demand_milli: d,
-            leak_bytes_per_sec: 0,
-            churn_bytes_per_sec: 0,
-        };
-        let trace = RecordedTrace {
-            period: SimDuration::from_secs(run.as_secs_f64() as u64 / 8),
-            containers: vec![
-                ContainerTrace {
-                    name: "primary".into(),
-                    samples: vec![
-                        demand(1000),
-                        demand(1400),
-                        demand(2200),
-                        demand(2200),
-                        demand(1400),
-                        demand(1000),
-                        demand(1000),
-                        demand(1000),
-                    ],
-                },
-                ContainerTrace {
-                    name: "sidecar".into(),
-                    samples: vec![
-                        TraceSample::STEADY,
-                        TraceSample::STEADY,
-                        TraceSample {
-                            demand_milli: 1000,
-                            leak_bytes_per_sec: leak,
-                            churn_bytes_per_sec: churn,
-                        },
-                        TraceSample {
-                            demand_milli: 1000,
-                            leak_bytes_per_sec: leak,
-                            churn_bytes_per_sec: churn,
-                        },
-                        TraceSample {
-                            demand_milli: 1000,
-                            leak_bytes_per_sec: 0,
-                            churn_bytes_per_sec: churn,
-                        },
-                        TraceSample::STEADY,
-                        TraceSample::STEADY,
-                        TraceSample::STEADY,
-                    ],
-                },
-            ],
-        };
-        trace.compile("trace_replay", "recorded demand/leak/churn trace replay")
-    }
-
-    /// Phase-2 catalog extension: correlated multi-host events,
-    /// cascading failures, and recorded-trace replay. Kept out of
-    /// [`all`] so existing goldens stay byte-identical.
-    pub fn extended(run: SimDuration, dram: ByteSize) -> Vec<Scenario> {
-        vec![
-            correlated_burst(run, dram),
-            cascade_failure(run, dram),
-            trace_replay(run, dram),
         ]
     }
 }
@@ -337,6 +228,27 @@ mod tests {
         let mut dedup = names.clone();
         dedup.dedup();
         assert_eq!(dedup, names);
+
+        // Every event kind ships in `all`, so none is reachable only
+        // from tests. The match has no wildcard: a new variant does not
+        // compile here until it is listed.
+        let slot = |kind: &EventKind| match kind {
+            EventKind::FlashCrowd { .. } => 0,
+            EventKind::Diurnal { .. } => 1,
+            EventKind::MemoryLeak { .. } => 2,
+            EventKind::SidecarSpike { .. } => 3,
+            EventKind::ChurnStorm { .. } => 4,
+        };
+        let mut shipped = [false; 5];
+        for scenario in catalog::all(run, dram) {
+            for event in &scenario.events {
+                shipped[slot(&event.kind)] = true;
+            }
+        }
+        assert_eq!(
+            shipped, [true; 5],
+            "an event kind is missing from catalog::all"
+        );
     }
 
     #[test]

@@ -1,67 +1,14 @@
-//! Property tests for scenario windows, engine determinism, and the
-//! recorded-trace byte format.
+//! Property tests for scenario windows and engine determinism.
 
 use proptest::prelude::*;
 use tmo_scenarios::prelude::*;
-use tmo_scenarios::{ContainerTrace, RecordedTrace, TraceError, TraceSample};
 use tmo_sim::{ByteSize, SimDuration, SimTime};
 
 fn window(start_s: u64, len_s: u64) -> Window {
     Window::new(SimTime::from_secs(start_s), SimDuration::from_secs(len_s))
 }
 
-fn arb_sample() -> impl Strategy<Value = TraceSample> {
-    (0u32..4000, 0u64..(1 << 34), 0u64..(1 << 34)).prop_map(|(demand, leak, churn)| TraceSample {
-        demand_milli: demand,
-        leak_bytes_per_sec: leak,
-        churn_bytes_per_sec: churn,
-    })
-}
-
-fn arb_trace() -> impl Strategy<Value = RecordedTrace> {
-    // Fixed name pool (the shim has no string strategies): exercises
-    // empty, plain, long, and multi-byte UTF-8 name encodings.
-    const NAMES: [&str; 4] = ["", "web", "sidecar-cache-warmer", "caché"];
-    (
-        1u64..3_600_000_000_000,
-        prop::collection::vec(
-            (
-                0usize..NAMES.len(),
-                prop::collection::vec(arb_sample(), 0..6),
-            ),
-            0..4,
-        ),
-    )
-        .prop_map(|(period_ns, containers)| RecordedTrace {
-            period: SimDuration::from_nanos(period_ns),
-            containers: containers
-                .into_iter()
-                .map(|(name, samples)| ContainerTrace {
-                    name: NAMES[name].to_string(),
-                    samples,
-                })
-                .collect(),
-        })
-}
-
 proptest! {
-    /// Overlap is symmetric, and zero-length windows overlap nothing —
-    /// not even a window that contains their start instant.
-    #[test]
-    fn overlap_is_symmetric_and_ignores_empty(
-        a_start in 0u64..1000,
-        a_len in 0u64..1000,
-        b_start in 0u64..1000,
-        b_len in 0u64..1000,
-    ) {
-        let a = window(a_start, a_len);
-        let b = window(b_start, b_len);
-        prop_assert_eq!(a.overlaps(&b), b.overlaps(&a));
-        if a.is_empty() || b.is_empty() {
-            prop_assert!(!a.overlaps(&b));
-        }
-    }
-
     /// A window contains exactly the instants in `[start, end)`; a
     /// zero-length window contains nothing, including its own start.
     #[test]
@@ -73,22 +20,6 @@ proptest! {
         let w = window(start, len);
         let now = SimTime::from_secs(t);
         prop_assert_eq!(w.contains(now), len > 0 && t >= start && t < start + len);
-    }
-
-    /// Two windows overlap iff some whole-second instant is inside both
-    /// (windows here are second-aligned, so seconds are a faithful probe).
-    #[test]
-    fn overlap_agrees_with_contains(
-        a_start in 0u64..60,
-        a_len in 0u64..60,
-        b_start in 0u64..60,
-        b_len in 0u64..60,
-    ) {
-        let a = window(a_start, a_len);
-        let b = window(b_start, b_len);
-        let witness = (0..130u64)
-            .any(|t| a.contains(SimTime::from_secs(t)) && b.contains(SimTime::from_secs(t)));
-        prop_assert_eq!(a.overlaps(&b), witness);
     }
 
     /// Events active from tick 0 modulate tick 0: a window starting at
@@ -137,155 +68,6 @@ proptest! {
                 b.storm_kill_victim(tick, now, dt, 4)
             );
         }
-    }
-
-    /// `encode` → `decode` is an exact identity for every trace the
-    /// format can represent.
-    #[test]
-    fn recorded_trace_round_trips(t in arb_trace()) {
-        prop_assert_eq!(RecordedTrace::decode(&t.encode()), Ok(t));
-    }
-
-    /// Every strict prefix of a valid trace is rejected as truncated —
-    /// the declared counts pin the exact byte length, so a short read
-    /// can never silently decode to a smaller trace.
-    #[test]
-    fn trace_decoder_rejects_every_truncation(t in arb_trace()) {
-        let bytes = t.encode();
-        for len in 0..bytes.len() {
-            prop_assert_eq!(
-                RecordedTrace::decode(&bytes[..len]),
-                Err(TraceError::Truncated),
-                "prefix of {} bytes", len
-            );
-        }
-    }
-
-    /// Any version other than the one this build writes is refused
-    /// with the offending version echoed back.
-    #[test]
-    fn trace_decoder_rejects_other_versions(t in arb_trace(), v in any::<u16>()) {
-        prop_assume!(v != tmo_scenarios::trace::TRACE_VERSION);
-        let mut bytes = t.encode();
-        bytes[8..10].copy_from_slice(&v.to_le_bytes());
-        prop_assert_eq!(
-            RecordedTrace::decode(&bytes),
-            Err(TraceError::UnsupportedVersion(v))
-        );
-    }
-
-    /// Compilation is a pure function of the bytes: decoding the same
-    /// byte string twice and compiling both yields identical scenarios
-    /// (event-for-event), and a round-tripped trace compiles exactly
-    /// like the original.
-    #[test]
-    fn byte_equal_traces_compile_identically(t in arb_trace()) {
-        let bytes = t.encode();
-        let a = RecordedTrace::decode(&bytes).unwrap();
-        let b = RecordedTrace::decode(&bytes).unwrap();
-        prop_assert_eq!(a.compile("replay", "s"), b.compile("replay", "s"));
-        prop_assert_eq!(t.compile("replay", "s"), a.compile("replay", "s"));
-    }
-
-    /// Zero-length windows never fire the correlated event kinds: an
-    /// empty window contains no instant, so a burst never modulates
-    /// demand and a cascade never kills.
-    #[test]
-    fn zero_length_windows_never_fire_correlated_kinds(
-        start in 0u64..1000,
-        t in 0u64..2000,
-        magnitude in 1.1f64..8.0,
-        bursts in 0u32..16,
-        stagger_s in 0u64..120,
-    ) {
-        use tmo::WorkloadModulator;
-        let w = window(start, 0);
-        let s = Scenario::new("empty", "t")
-            .with_event(Target::All, w, EventKind::CorrelatedBurst { magnitude, bursts })
-            .with_event(Target::All, w, EventKind::CascadeKill {
-                stagger: SimDuration::from_secs(stagger_s),
-            });
-        let engine = ScenarioEngine::new(s, 1);
-        let now = SimTime::from_secs(t);
-        prop_assert_eq!(engine.demand_scale(0, now), 1.0);
-        prop_assert_eq!(
-            engine.storm_kill_victim(t, now, SimDuration::from_millis(100), 4),
-            None
-        );
-    }
-
-    /// A burst window starting at the epoch modulates the very first
-    /// tick: the first half of the first burst slice includes t=0.
-    #[test]
-    fn correlated_burst_fires_at_tick_zero(
-        len in 1u64..1000,
-        magnitude in 1.1f64..8.0,
-        bursts in 1u32..8,
-    ) {
-        use tmo::WorkloadModulator;
-        let s = Scenario::new("burst0", "t").with_event(
-            Target::All,
-            window(0, len),
-            EventKind::CorrelatedBurst { magnitude, bursts },
-        );
-        let engine = ScenarioEngine::new(s, 1);
-        prop_assert_eq!(engine.demand_scale(0, SimTime::ZERO), magnitude);
-    }
-
-    /// A cascade window starting at the epoch kills on the very first
-    /// tick, and kill 0 lands on the configured first victim — for any
-    /// stagger, including zero.
-    #[test]
-    fn cascade_kill_fires_on_the_first_tick(
-        first in 0usize..4,
-        stagger_s in 0u64..120,
-        n in 1u64..8,
-    ) {
-        use tmo::WorkloadModulator;
-        let s = Scenario::new("cascade0", "t").with_event(
-            Target::Container(first),
-            window(0, 1000),
-            EventKind::CascadeKill { stagger: SimDuration::from_secs(stagger_s) },
-        );
-        let engine = ScenarioEngine::new(s, 1);
-        prop_assert_eq!(
-            engine.storm_kill_victim(0, SimTime::ZERO, SimDuration::from_millis(100), n),
-            Some(first as u64 % n)
-        );
-    }
-
-    /// The correlated kinds are pure functions of absolute time: two
-    /// hosts with different seeds agree on every query, which is what
-    /// makes them fire in lock-step across a fleet. (ChurnStorm draws
-    /// from the per-host plan, so it carries no such guarantee.)
-    #[test]
-    fn correlated_kinds_ignore_the_host_seed(
-        seed_a in any::<u64>(),
-        seed_b in any::<u64>(),
-        tick in 0u64..100_000,
-        ci in 0usize..4,
-    ) {
-        use tmo::WorkloadModulator;
-        let s = Scenario::new("corr", "t")
-            .with_event(Target::All, window(10, 300), EventKind::CorrelatedBurst {
-                magnitude: 2.5,
-                bursts: 4,
-            })
-            .with_event(Target::All, window(200, 500), EventKind::CascadeKill {
-                stagger: SimDuration::from_secs(30),
-            });
-        let a = ScenarioEngine::new(s.clone(), seed_a);
-        let b = ScenarioEngine::new(s, seed_b);
-        let now = SimTime::from_nanos(tick * 100_000_000);
-        let dt = SimDuration::from_millis(100);
-        prop_assert_eq!(
-            a.demand_scale(ci, now).to_bits(),
-            b.demand_scale(ci, now).to_bits()
-        );
-        prop_assert_eq!(
-            a.storm_kill_victim(tick, now, dt, 4),
-            b.storm_kill_victim(tick, now, dt, 4)
-        );
     }
 
     /// Storm victims stay in range for any container count.

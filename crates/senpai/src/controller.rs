@@ -227,11 +227,6 @@ impl Senpai {
             *n = (*n + 1).min(MAX_BACKOFF_EXP);
         }
     }
-
-    /// Consecutive failed reclaims currently held against `container`.
-    pub fn failure_count(&self, container: usize) -> u32 {
-        self.failures.get(&container).copied().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -404,7 +399,6 @@ mod tests {
         // One success clears the backoff entirely.
         s.note_outcome(0, true);
         assert_eq!(s.decide_for(0, &calm()).reclaim, base);
-        assert_eq!(s.failure_count(0), 0);
     }
 
     #[test]
@@ -413,7 +407,6 @@ mod tests {
         for _ in 0..50 {
             s.note_outcome(0, false);
         }
-        assert_eq!(s.failure_count(0), 10);
         let d = s.decide_for(0, &calm());
         assert!(d.reclaim > ByteSize::ZERO || d.reclaim.is_zero());
         // 2^-10 of the base step, not zero forever.

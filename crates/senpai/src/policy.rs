@@ -53,16 +53,6 @@ impl PolicyMap {
     pub fn config_for(&self, name: &str) -> &SenpaiConfig {
         self.overrides.get(name).unwrap_or(&self.default)
     }
-
-    /// Whether the named workload has an explicit override.
-    pub fn has_override(&self, name: &str) -> bool {
-        self.overrides.contains_key(name)
-    }
-
-    /// Number of overrides.
-    pub fn override_count(&self) -> usize {
-        self.overrides.len()
-    }
 }
 
 impl Default for PolicyMap {
@@ -79,7 +69,6 @@ mod tests {
     fn default_applies_to_unknown_names() {
         let map = PolicyMap::default();
         assert_eq!(map.config_for("anything"), &SenpaiConfig::production());
-        assert!(!map.has_override("anything"));
     }
 
     #[test]
@@ -88,8 +77,6 @@ mod tests {
             .with_policy("Batch", SenpaiConfig::config_b())
             .with_policy("Batch", SenpaiConfig::file_only());
         assert_eq!(map.config_for("Batch"), &SenpaiConfig::file_only());
-        assert_eq!(map.override_count(), 1);
-        assert!(map.has_override("Batch"));
     }
 
     #[test]

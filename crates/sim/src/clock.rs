@@ -64,17 +64,6 @@ impl Clock {
         self.ticks += 1;
         self.now
     }
-
-    /// Runs `f` once per tick until `duration` of simulated time has
-    /// elapsed, passing the instant at the *end* of each tick.
-    pub fn run_for(&mut self, duration: SimDuration, mut f: impl FnMut(&mut Clock)) {
-        let deadline = self.now + duration;
-        while self.now < deadline {
-            self.now += self.tick;
-            self.ticks += 1;
-            f(self);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -87,23 +76,6 @@ mod tests {
         assert_eq!(c.tick(), SimTime::from_secs(1));
         assert_eq!(c.tick(), SimTime::from_secs(2));
         assert_eq!(c.ticks(), 2);
-    }
-
-    #[test]
-    fn run_for_executes_expected_tick_count() {
-        let mut c = Clock::new(SimDuration::from_millis(100));
-        let mut count = 0;
-        c.run_for(SimDuration::from_secs(2), |_| count += 1);
-        assert_eq!(count, 20);
-        assert_eq!(c.now(), SimTime::from_secs(2));
-    }
-
-    #[test]
-    fn run_for_zero_duration_is_noop() {
-        let mut c = Clock::new(SimDuration::from_millis(100));
-        let mut count = 0;
-        c.run_for(SimDuration::ZERO, |_| count += 1);
-        assert_eq!(count, 0);
     }
 
     #[test]

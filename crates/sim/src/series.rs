@@ -311,17 +311,6 @@ impl Recorder {
         self.index.keys().map(String::as_str).collect()
     }
 
-    /// Merges another recorder's series in, prefixing their names.
-    pub fn merge_prefixed(&mut self, prefix: &str, other: &Recorder) {
-        for s in other.iter() {
-            let name = format!("{prefix}.{}", s.name());
-            let id = self.series_id(&name);
-            for (i, value) in s.values().enumerate() {
-                self.slots[id.0].push(SimTime::from_nanos(s.time_ns(i)), value);
-            }
-        }
-    }
-
     /// Renders all series as CSV (`series,time_secs,value` rows).
     pub fn to_csv(&self) -> String {
         let mut out = String::from("series,time_secs,value\n");
@@ -443,15 +432,6 @@ mod tests {
         let ordered: Vec<&str> = rec.iter().map(Series::name).collect();
         assert_eq!(ordered, vec!["a.a", "z.b"]);
         assert_eq!(rec.series("z.b").expect("z.b").len(), 2);
-    }
-
-    #[test]
-    fn recorder_merge_prefixed() {
-        let mut base = Recorder::new();
-        let mut other = Recorder::new();
-        other.record("rps", t(1), 100.0);
-        base.merge_prefixed("web", &other);
-        assert_eq!(base.series("web.rps").expect("merged").len(), 1);
     }
 
     #[test]

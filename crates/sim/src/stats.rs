@@ -211,11 +211,6 @@ impl Welford {
             self.m2 / (self.count - 1) as f64
         }
     }
-
-    /// Sample standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
 }
 
 #[cfg(test)]
@@ -301,6 +296,5 @@ mod tests {
         w.observe(42.0);
         assert_eq!(w.mean(), 42.0);
         assert_eq!(w.variance(), 0.0);
-        assert_eq!(w.stddev(), 0.0);
     }
 }

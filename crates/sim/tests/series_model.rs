@@ -4,7 +4,7 @@
 //! `(start, step)` stride until a push breaks it, then switches to one
 //! stored time per sample. The model is the plain `Vec<(ns, value)>`
 //! that storage replaces. Every reading — the samples themselves, the
-//! summaries, downsampling, merging and the CSV export — must agree bit
+//! summaries, downsampling and the CSV export — must agree bit
 //! for bit on push sequences that keep, break, repeat and reverse the
 //! stride, so a switch that drops or shifts a time fails here.
 
@@ -160,11 +160,10 @@ proptest! {
         }
     }
 
-    /// Merging and the CSV export replay exactly the pushed times, for
-    /// two series written in interleaved order through both recorder
-    /// entry points.
+    /// The CSV export replays exactly the pushed times, for two series
+    /// written in interleaved order through both recorder entry points.
     #[test]
-    fn recorder_merge_and_csv_match_the_model(a in arb_pushes(), b in arb_pushes()) {
+    fn recorder_csv_matches_the_model(a in arb_pushes(), b in arb_pushes()) {
         let mut rec = Recorder::new();
         let b_id = rec.series_id("b");
         for i in 0..a.len().max(b.len()) {
@@ -182,17 +181,5 @@ proptest! {
         } else {
             prop_assert_eq!(rec.to_csv(), model_csv(&[("a", &a), ("b", &b)]));
         }
-
-        // Merging into a series that already holds `b` appends `a`
-        // after it, which breaks any stride `b` had.
-        let mut merged = Recorder::new();
-        for &(ns, v) in &b {
-            merged.record("p.a", SimTime::from_nanos(ns), v);
-        }
-        merged.merge_prefixed("p", &rec);
-        let appended: Model = b.iter().chain(a.iter()).copied().collect();
-        let got = merged.series("p.a").map(|s| bits(s.samples())).unwrap_or_default();
-        prop_assert_eq!(got, bits(model_samples(&appended)));
-        prop_assert_eq!(bits(merged.series("p.b").expect("merged").samples()), bits(model_samples(&b)));
     }
 }

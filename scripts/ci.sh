@@ -20,8 +20,8 @@ echo "==> seed stability: 1k-host jobs sweep (release)"
 cargo test --release -q --offline --test seed_stability
 
 echo "==> scenario stability: full catalog jobs sweep (release)"
-# Every shipped adversarial scenario (tmo-scenarios catalog, shipped
-# and extended) replayed over a small fleet at jobs ∈ {1,4,8} must
+# Every shipped adversarial scenario (tmo-scenarios catalog::all)
+# replayed over a small fleet at jobs ∈ {1,4,8} must
 # produce bit-identical ScenarioOutcomes — SLO reports, blame ledgers,
 # and degradation scalars compared field-for-field
 # (tests/scenario_stability.rs).
@@ -77,6 +77,18 @@ echo "==> tmo-lint --allows vs golden"
 ./target/release/tmo-lint --root . --allows \
     | diff -u scripts/golden/lint_clean.txt - \
     || { echo "lint allow inventory drifted from scripts/golden/lint_clean.txt"; exit 1; }
+
+echo "==> repro input boundary: bad flags fail with empty stdout"
+# An unknown figure or experiment, or a bad --jobs value, must fail
+# before anything runs: a non-zero exit, the error on stderr, and
+# nothing on stdout. --all does not excuse an unknown --figure.
+for bad in "--figure 99" "--all --figure 99" "--experiment nope" "--jobs x" "--jobs"; do
+    # shellcheck disable=SC2086 # word-split the flags on purpose
+    if out=$(./target/release/repro $bad 2>/dev/null); then
+        echo "repro $bad exited 0"; exit 1
+    fi
+    [ -z "$out" ] || { echo "repro $bad wrote to stdout"; exit 1; }
+done
 
 echo "==> PSI worked example: figure 7 --quick vs golden"
 # Figure 7 replays the paper's two-process some/full trace through

@@ -431,33 +431,3 @@ fn diurnal_load_modulates_memory_behaviour() {
         "peak {peak_accesses} vs trough {trough_accesses}"
     );
 }
-
-#[test]
-fn nvm_backend_runs_the_full_stack() {
-    // §5.2's future tier as a drop-in: faster than SSD, dearer than
-    // zswap-free DRAM, no endurance constraint.
-    let mut machine = Machine::new(MachineConfig {
-        dram: ByteSize::from_mib(256),
-        swap: SwapKind::Nvm(ByteSize::from_mib(256)),
-        seed: 71,
-        ..MachineConfig::default()
-    });
-    let id =
-        machine.add_container(&tmo_workload::apps::feed().with_mem_total(ByteSize::from_mib(128)));
-    let mut rt = TmoRuntime::with_senpai(
-        machine,
-        SenpaiConfig {
-            write_limit_mbps: None,
-            ..SenpaiConfig::accelerated(40.0)
-        },
-    );
-    rt.run(SimDuration::from_mins(3));
-    let m = rt.machine();
-    assert!(m.savings_fraction(id) > 0.08, "{}", m.savings_fraction(id));
-    // NVM faults are microseconds: pressure stays far under threshold,
-    // so the equilibrium offload exceeds what a slow SSD would allow.
-    let psi = m.container(id).psi().some_avg10(Resource::Memory);
-    assert!(psi < 0.01, "psi {psi}");
-    let stats = m.mm().swap_stats().expect("nvm backend");
-    assert!(stats.pages_stored > 0);
-}

@@ -91,9 +91,7 @@ fn run_fleet(jobs: usize, scenario: &Scenario) -> Vec<ScenarioOutcome> {
 
 #[test]
 fn every_shipped_scenario_is_bit_identical_across_jobs() {
-    let mut shipped = catalog::all(run_len(), dram());
-    shipped.extend(catalog::extended(run_len(), dram()));
-    for scenario in shipped {
+    for scenario in catalog::all(run_len(), dram()) {
         let base = run_fleet(1, &scenario);
         assert_eq!(base.len(), HOSTS);
         for jobs in [4usize, 8] {
