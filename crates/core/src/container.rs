@@ -1,5 +1,7 @@
 //! Container instantiation and per-tick workload execution state.
 
+use std::collections::VecDeque;
+
 use tmo_mm::{CgroupId, PageId};
 use tmo_psi::PsiGroup;
 use tmo_sim::{ByteSize, SeriesId, SimDuration};
@@ -95,8 +97,10 @@ pub struct Container {
     pub(crate) alive: bool,
     /// Fractional churn carry between ticks.
     pub(crate) churn_carry: f64,
-    /// Write-once never-read file pages created by the churn.
-    pub(crate) churn_pages: Vec<PageId>,
+    /// Write-once never-read file pages created by the churn, oldest
+    /// first. The evicted ones always form a prefix (see step 1b of
+    /// `Machine::run_container_tick`).
+    pub(crate) churn_pages: VecDeque<PageId>,
     /// Anonymous pages leaked by a scenario modulator: allocated, never
     /// touched again, released only when the container is killed.
     pub(crate) leak_pages: Vec<PageId>,

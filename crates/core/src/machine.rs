@@ -1,5 +1,7 @@
 //! One simulated datacenter host.
 
+use std::collections::VecDeque;
+
 use tmo_backends::{OffloadBackend, SsdModel, ZswapAllocator, ZswapPool};
 use tmo_faults::{FaultConfig, FaultPlan, FaultyBackend, HostFaults, SignalFate};
 use tmo_mm::manager::AllocError;
@@ -119,6 +121,8 @@ type FootprintError = (usize, PageKind, AllocError);
 pub struct MachineScratch {
     /// Batched page ids drawn for one temperature class.
     batch_ids: Vec<tmo_mm::PageId>,
+    /// One paced allocation's new pages (growth, churn, leak).
+    paced: Vec<PageId>,
     /// Per-class touch counts for one container tick.
     plan: Vec<u64>,
     /// Swap-in latencies observed during one tick.
@@ -139,6 +143,7 @@ impl MachineScratch {
     /// handoff; only the allocations do.
     fn scrub(&mut self) {
         self.batch_ids.clear();
+        self.paced.clear();
         self.plan.clear();
         self.swap_latencies.clear();
         self.all_stats.clear();
@@ -522,7 +527,7 @@ impl Machine {
             swap_full_seen: false,
             alive: true,
             churn_carry: 0.0,
-            churn_pages: Vec::new(),
+            churn_pages: VecDeque::new(),
             leak_pages: Vec::new(),
             leak_carry: 0.0,
             initial_resident_pages,
@@ -664,14 +669,11 @@ impl Machine {
                 if count == 0 {
                     continue;
                 }
-                match self.mm.alloc_pages(cg, kind, count, now) {
-                    Ok(out) => pages.extend(out.pages),
-                    Err(e) => {
-                        class_pages.push(pages);
-                        let allocated: Vec<PageId> = class_pages.into_iter().flatten().collect();
-                        self.mm.free_pages_of(&allocated);
-                        return Err((ci, kind, e));
-                    }
+                if let Err(e) = self.mm.alloc_pages_into(cg, kind, count, now, &mut pages) {
+                    class_pages.push(pages);
+                    let allocated: Vec<PageId> = class_pages.into_iter().flatten().collect();
+                    self.mm.free_pages_of(&allocated);
+                    return Err((ci, kind, e));
                 }
             }
             anon_allocated += anon_now;
@@ -683,10 +685,11 @@ impl Machine {
     /// Allocates one tick of a paced page stream (lazy growth, file
     /// churn, scenario leak): ⌊`want`⌋ pages, where `want` is rate × tick
     /// plus the fractional carry from earlier ticks, capped at `cap`.
-    /// The reclaim stall is charged to `stats` as memory stall; a failed
-    /// allocation sets `stats.alloc_failed`. Returns the next tick's
-    /// carry — always `want − ⌊want⌋`, even when `cap` bites — and the
-    /// pages allocated (none when nothing was due or allocation failed).
+    /// The pages are appended to `scratch.paced` (none when nothing was
+    /// due or allocation failed), which the caller drains. The reclaim
+    /// stall is charged to `stats` as memory stall; a failed allocation
+    /// sets `stats.alloc_failed`. Returns the next tick's carry — always
+    /// `want − ⌊want⌋`, even when `cap` bites.
     fn alloc_paced(
         &mut self,
         cg: CgroupId,
@@ -695,23 +698,23 @@ impl Machine {
         cap: u64,
         now: SimTime,
         stats: &mut TickStats,
-    ) -> (f64, Vec<PageId>) {
+    ) -> f64 {
         let carry = want - (want as u64) as f64;
         let n = (want as u64).min(cap);
         if n == 0 {
-            return (carry, Vec::new());
+            return carry;
         }
-        match self.mm.alloc_pages(cg, kind, n, now) {
-            Ok(out) => {
-                stats.mem_stall += out.reclaim_stall;
-                stats.stall += out.reclaim_stall;
-                (carry, out.pages)
+        match self
+            .mm
+            .alloc_pages_into(cg, kind, n, now, &mut self.scratch.paced)
+        {
+            Ok(reclaim_stall) => {
+                stats.mem_stall += reclaim_stall;
+                stats.stall += reclaim_stall;
             }
-            Err(_) => {
-                stats.alloc_failed = true;
-                (carry, Vec::new())
-            }
+            Err(_) => stats.alloc_failed = true,
         }
+        carry
     }
 
     fn run_container_tick(
@@ -734,10 +737,10 @@ impl Machine {
             let c = &self.containers[ci];
             let want = c.growth_pages_per_sec * dt.as_secs_f64() + c.growth_carry;
             let cap = c.growth_remaining_pages;
-            let (carry, pages) = self.alloc_paced(cg, PageKind::Anon, want, cap, now, &mut stats);
+            let carry = self.alloc_paced(cg, PageKind::Anon, want, cap, now, &mut stats);
             self.containers[ci].growth_carry = carry;
-            if !pages.is_empty() {
-                self.containers[ci].growth_remaining_pages -= pages.len() as u64;
+            if !self.scratch.paced.is_empty() {
+                self.containers[ci].growth_remaining_pages -= self.scratch.paced.len() as u64;
                 // Distribute new pages across classes by weight.
                 let fractions: Vec<f64> = self.containers[ci]
                     .planner
@@ -745,7 +748,7 @@ impl Machine {
                     .iter()
                     .map(|c| c.fraction)
                     .collect();
-                for page in pages {
+                for page in self.scratch.paced.drain(..) {
                     let class = self.rng.weighted_index(&fractions).unwrap_or(0);
                     self.containers[ci].class_pages[class].push(page);
                 }
@@ -758,6 +761,14 @@ impl Machine {
         // and all. The churn rate comes from the workload modulator (a
         // scenario's sidecar-tax spike); with no modulator this whole
         // step is untouched dead code.
+        //
+        // `churn_pages` is a FIFO whose evicted pages are always a
+        // prefix: churn pages are never touched, so reclaim never gives
+        // one a second chance, and each cgroup's inactive file LRU
+        // (push front, pop back, order-preserving compaction) evicts
+        // them in insertion order whatever drives the reclaim. Popping
+        // the non-resident front therefore drops exactly the evicted
+        // pages, in list order, without scanning the resident rest.
         let page_bytes = self.config.page_size.as_u64() as f64;
         let churn_pages_per_sec = match &self.modulator {
             Some(m) => m.churn_bytes_per_sec(ci, now).as_u64() as f64 / page_bytes,
@@ -765,19 +776,17 @@ impl Machine {
         };
         if churn_pages_per_sec > 0.0 || !self.containers[ci].churn_pages.is_empty() {
             let want = churn_pages_per_sec * dt.as_secs_f64() + self.containers[ci].churn_carry;
-            let (carry, pages) =
-                self.alloc_paced(cg, PageKind::File, want, u64::MAX, now, &mut stats);
-            self.containers[ci].churn_carry = carry;
-            self.containers[ci].churn_pages.extend(pages);
-            // Collect evicted churn pages.
-            let mm = &self.mm;
-            let (live, dead): (Vec<_>, Vec<_>) = self.containers[ci]
+            let carry = self.alloc_paced(cg, PageKind::File, want, u64::MAX, now, &mut stats);
+            let c = &mut self.containers[ci];
+            c.churn_carry = carry;
+            c.churn_pages.extend(self.scratch.paced.drain(..));
+            let evicted = c
                 .churn_pages
-                .drain(..)
-                .partition(|&p| mm.is_resident(p));
-            self.containers[ci].churn_pages = live;
-            if !dead.is_empty() {
-                self.mm.free_pages_of(&dead);
+                .iter()
+                .position(|&p| self.mm.is_resident(p))
+                .unwrap_or(c.churn_pages.len());
+            for page in c.churn_pages.drain(..evicted) {
+                self.mm.free_pages_of(&[page]);
             }
         }
 
@@ -791,10 +800,10 @@ impl Machine {
         };
         if leak_pages_per_sec > 0.0 {
             let want = leak_pages_per_sec * dt.as_secs_f64() + self.containers[ci].leak_carry;
-            let (carry, pages) =
-                self.alloc_paced(cg, PageKind::Anon, want, u64::MAX, now, &mut stats);
-            self.containers[ci].leak_carry = carry;
-            self.containers[ci].leak_pages.extend(pages);
+            let carry = self.alloc_paced(cg, PageKind::Anon, want, u64::MAX, now, &mut stats);
+            let c = &mut self.containers[ci];
+            c.leak_carry = carry;
+            c.leak_pages.append(&mut self.scratch.paced);
         }
 
         // 2. Access stream. Web containers touch memory in proportion
@@ -1530,6 +1539,88 @@ mod tests {
             after * 2 >= before,
             "churned {before} pages, then {after} after restart"
         );
+    }
+
+    /// The length of the non-resident front of a container's churn
+    /// list, asserting that nothing behind it is non-resident: the
+    /// prefix property step 1b's FIFO pop relies on.
+    fn evicted_churn_prefix(m: &Machine, id: ContainerId) -> usize {
+        let churn = &m.container(id).churn_pages;
+        let evicted = churn
+            .iter()
+            .take_while(|&&p| !m.mm().is_resident(p))
+            .count();
+        let stray = churn
+            .iter()
+            .skip(evicted)
+            .position(|&p| !m.mm().is_resident(p));
+        assert_eq!(
+            stray, None,
+            "evicted churn page behind a resident one (container {id}, prefix {evicted})"
+        );
+        evicted
+    }
+
+    #[test]
+    fn evicted_churn_pages_form_a_prefix_that_the_next_tick_drops() {
+        // Two churning containers on a host too small for their caches:
+        // churn meets direct reclaim (each container's own and its
+        // neighbour's), then proactive reclaim, then a kill and restart.
+        let mut m = Machine::new(MachineConfig {
+            dram: ByteSize::from_mib(128),
+            ..MachineConfig::default()
+        });
+        let ids = [
+            m.add_container(&apps::feed().with_mem_total(ByteSize::from_mib(48))),
+            m.add_container(&apps::cache_a().with_mem_total(ByteSize::from_mib(32))),
+        ];
+        m.set_modulator(Box::new(FixedChurn(ByteSize::from_mib(3))));
+        let mut dropped = 0;
+        let mut tick = |m: &mut Machine, ticks: usize| {
+            for _ in 0..ticks {
+                // Pages evicted before the tick leave the list during
+                // it. Their slots cannot come back as churn pages in the
+                // same tick (each container allocates its churn before
+                // dropping), so none of these ids may remain. Pages that
+                // later phases of the tick evict wait for the next one.
+                let gone: Vec<Vec<PageId>> = ids
+                    .iter()
+                    .map(|&id| {
+                        let k = evicted_churn_prefix(m, id);
+                        m.container(id).churn_pages.range(..k).copied().collect()
+                    })
+                    .collect();
+                m.tick();
+                for (&id, gone) in ids.iter().zip(&gone) {
+                    evicted_churn_prefix(m, id);
+                    let churn = &m.container(id).churn_pages;
+                    assert!(
+                        gone.iter().all(|p| !churn.contains(p)),
+                        "{id} kept evicted pages"
+                    );
+                    dropped += gone.len();
+                }
+            }
+        };
+        // Memory pressure: ~6 MiB/s of junk on 48 MiB of headroom.
+        tick(&mut m, 300);
+        // Proactive reclaim sweeps the never-read pages off the tails.
+        for &id in &ids {
+            m.reclaim(id, ByteSize::from_mib(24));
+            assert!(
+                evicted_churn_prefix(&m, id) > 0,
+                "{id}: reclaim evicted no churn"
+            );
+        }
+        tick(&mut m, 50);
+        m.kill_container(ids[0]);
+        assert!(m.container(ids[0]).churn_pages.is_empty());
+        evicted_churn_prefix(&m, ids[1]);
+        tick(&mut m, 50);
+        assert!(m.restart_container(ids[0]));
+        evicted_churn_prefix(&m, ids[0]);
+        tick(&mut m, 300);
+        assert!(dropped > 1000, "only {dropped} evicted churn pages dropped");
     }
 
     #[test]

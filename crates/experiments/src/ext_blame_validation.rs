@@ -119,12 +119,43 @@ pub struct CaseResult {
     pub extra_stall_secs: f64,
 }
 
-/// Runs one planted case across the fleet and aggregates.
-pub fn run_case(runner: &FleetRunner, case: &PlantedScenario, scale: Scale) -> CaseResult {
+/// Runs `baseline` once on every host of the fleet: the
+/// [`baseline_stalls`] each planted case on that host is scored
+/// against, in host-index order.
+fn run_baselines(
+    runner: &FleetRunner,
+    baseline: &Scenario,
+    scale: Scale,
+) -> Vec<HostOutcome<Vec<f64>>> {
+    let cfg = run_config(scale);
+    let (stalls, stats) =
+        runner.run_collect_seeded_sharded(EXPERIMENT_SEED, HOSTS_PER_CASE, |host, _arena| {
+            baseline_stalls(baseline, &cfg, build_host(host.seed, scale))
+        });
+    // Diagnostics to stderr: stdout must stay bit-identical per --jobs.
+    eprintln!("blame-validation baseline: {}", stats.summary_line());
+    stalls
+}
+
+/// Runs one planted case across the fleet against each host's
+/// `baselines` entry (from [`run_baselines`]) and aggregates. A host
+/// whose baseline or planted run panicked drops out of the case.
+fn run_case(
+    runner: &FleetRunner,
+    case: &PlantedScenario,
+    scale: Scale,
+    baselines: &[HostOutcome<Vec<f64>>],
+) -> CaseResult {
     let cfg = run_config(scale);
     let (rows, stats) =
         runner.run_collect_seeded_sharded(EXPERIMENT_SEED, HOSTS_PER_CASE, |host, _arena| {
-            evaluate_planted(case, &cfg, || build_host(host.seed, scale))
+            let baseline = baselines[host.index].completed()?;
+            Some(evaluate_planted(
+                case,
+                &cfg,
+                build_host(host.seed, scale),
+                baseline,
+            ))
         });
     // Diagnostics to stderr: stdout must stay bit-identical per --jobs.
     eprintln!(
@@ -133,7 +164,10 @@ pub fn run_case(runner: &FleetRunner, case: &PlantedScenario, scale: Scale) -> C
         case.offender,
         stats.summary_line()
     );
-    let rows: Vec<&GroundTruthRow> = rows.iter().filter_map(|r| r.completed()).collect();
+    let rows: Vec<&GroundTruthRow> = rows
+        .iter()
+        .filter_map(|r| r.completed()?.as_ref())
+        .collect();
     let n = rows.len().max(1) as f64;
     CaseResult {
         name: case.scenario.name.clone(),
@@ -147,11 +181,21 @@ pub fn run_case(runner: &FleetRunner, case: &PlantedScenario, scale: Scale) -> C
     }
 }
 
-/// Runs every planted case on the given runner.
+/// Runs every planted case on the given runner. The cases share one
+/// event-free baseline, so it runs once per host, not once per case.
 pub fn simulate(runner: &FleetRunner, scale: Scale) -> Vec<CaseResult> {
-    planted_cases(scale)
+    let cases = planted_cases(scale);
+    let baseline = &cases[0].baseline;
+    assert!(
+        cases
+            .iter()
+            .all(|c| c.baseline.events == baseline.events && c.baseline.faults == baseline.faults),
+        "planted cases must share one baseline run"
+    );
+    let baselines = run_baselines(runner, baseline, scale);
+    cases
         .iter()
-        .map(|c| run_case(runner, c, scale))
+        .map(|c| run_case(runner, c, scale, &baselines))
         .collect()
 }
 
@@ -222,12 +266,32 @@ mod tests {
     }
 
     #[test]
+    fn a_host_without_a_baseline_drops_out_of_the_case() {
+        let scale = Scale::Quick;
+        let runner = FleetRunner::new(2);
+        let case = &planted_cases(scale)[0];
+        let mut baselines = run_baselines(&runner, &case.baseline, scale);
+        let complete = run_case(&runner, case, scale, &baselines);
+        assert_eq!(complete.hosts, HOSTS_PER_CASE);
+        baselines[1] = HostOutcome::Failed(tmo::FleetError {
+            host: 1,
+            message: "baseline panicked".to_string(),
+        });
+        let partial = run_case(&runner, case, scale, &baselines);
+        assert_eq!(partial.hosts, HOSTS_PER_CASE - 1);
+    }
+
+    #[test]
     fn cases_are_identical_for_any_worker_count() {
         let scale = Scale::Quick;
         let case = &planted_cases(scale)[0];
-        let seq = run_case(&FleetRunner::sequential(), case, scale);
-        let par4 = run_case(&FleetRunner::exact(4), case, scale);
-        let par8 = run_case(&FleetRunner::exact(8), case, scale);
+        let run = |runner: FleetRunner| {
+            let baselines = run_baselines(&runner, &case.baseline, scale);
+            run_case(&runner, case, scale, &baselines)
+        };
+        let seq = run(FleetRunner::sequential());
+        let par4 = run(FleetRunner::exact(4));
+        let par8 = run(FleetRunner::exact(8));
         assert_eq!(seq, par4);
         assert_eq!(seq, par8);
     }

@@ -571,9 +571,33 @@ impl MemoryManager {
         // A request beyond DRAM fails or evicts its own earlier pages,
         // so it cannot be sized up front.
         let mut pages = Vec::with_capacity(count.min(self.total_pages) as usize);
+        let reclaim_stall = self.alloc_pages_into(cg, kind, count, now, &mut pages)?;
+        Ok(AllocOutcome {
+            pages,
+            reclaim_stall,
+        })
+    }
+
+    /// [`MemoryManager::alloc_pages`] appending the new pages to `out`
+    /// instead of a fresh vector, for callers that reuse one buffer
+    /// across ticks. Returns the reclaim stall; on failure `out` is
+    /// left as it was.
+    ///
+    /// # Errors
+    ///
+    /// As [`MemoryManager::alloc_pages`].
+    pub fn alloc_pages_into(
+        &mut self,
+        cg: CgroupId,
+        kind: PageKind,
+        count: u64,
+        now: SimTime,
+        out: &mut Vec<PageId>,
+    ) -> Result<SimDuration, AllocError> {
+        let start = out.len();
         let mut stall = SimDuration::ZERO;
-        while (pages.len() as u64) < count {
-            let mut n = self.headroom(cg).min(count - pages.len() as u64);
+        while ((out.len() - start) as u64) < count {
+            let mut n = self.headroom(cg).min(count - (out.len() - start) as u64);
             if n == 0 {
                 let step = self
                     .enforce_limits(cg, 1)
@@ -581,19 +605,17 @@ impl MemoryManager {
                 match step {
                     Ok(s) => stall += s,
                     Err(e) => {
-                        self.free_pages_of(&pages);
+                        self.free_pages_of(&out[start..]);
+                        out.truncate(start);
                         return Err(e);
                     }
                 }
                 n = 1;
             }
-            self.insert_pages(cg, kind, n, now, &mut pages);
+            self.insert_pages(cg, kind, n, now, out);
         }
         self.charge_alloc_provenance(cg, stall);
-        Ok(AllocOutcome {
-            pages,
-            reclaim_stall: stall,
-        })
+        Ok(stall)
     }
 
     /// Pages `cg` can take now with neither `enforce_limits` nor

@@ -8,6 +8,8 @@
 //! after compaction inflated an LRU's live length past the cgroup's
 //! resident counter.
 
+use std::collections::VecDeque;
+
 use proptest::prelude::*;
 use tmo_backends::{OffloadBackend, ZswapAllocator, ZswapPool};
 use tmo_mm::manager::{AllocError, AllocOutcome};
@@ -217,6 +219,55 @@ fn apply_diff(
         }
         DiffOp::Tick => mm.tick(SimDuration::from_secs(1)),
     }
+}
+
+/// One step of the churn-order check, on [`build_diff_mm`]'s host:
+/// `a` holds a FIFO of never-touched File pages (the machine's file
+/// churn) among everything [`DiffOp`] does to the other pages.
+#[derive(Debug, Clone)]
+enum ChurnOp {
+    /// `n` File pages in `a`, appended to the churn FIFO and never
+    /// accessed.
+    Churn(u8),
+    /// Allocation, access, reclaim, free or tick on the other pages.
+    Other(DiffOp),
+    /// `memory.max` of the slice (`false`) or of `a` (`true`), in
+    /// pages; 0 lifts it.
+    SetMax(bool, u16),
+    /// Frees the FIFO's non-resident front, as the machine's churn
+    /// bookkeeping does each tick.
+    DropEvicted,
+}
+
+fn arb_churn_op() -> impl Strategy<Value = ChurnOp> {
+    prop_oneof![
+        (1u8..40).prop_map(ChurnOp::Churn),
+        arb_diff_op().prop_map(ChurnOp::Other),
+        arb_diff_op().prop_map(ChurnOp::Other),
+        (any::<bool>(), 0u16..240).prop_map(|(a, max)| ChurnOp::SetMax(a, max)),
+        Just(ChurnOp::DropEvicted),
+    ]
+}
+
+/// The length of the churn FIFO's non-resident front. Every page
+/// behind it must still be resident — churn pages leave in insertion
+/// order — and every page in it evicted, not freed.
+fn evicted_prefix(mm: &MemoryManager, churn: &VecDeque<PageId>) -> Result<usize, TestCaseError> {
+    let evicted = churn.iter().take_while(|&&p| !mm.is_resident(p)).count();
+    for (i, &p) in churn.iter().enumerate() {
+        if i < evicted {
+            prop_assert!(
+                matches!(mm.page(p).state(), PageState::EvictedFile { .. }),
+                "churn page {p:?} left DRAM other than by eviction"
+            );
+        } else {
+            prop_assert!(
+                mm.is_resident(p),
+                "churn page {i} evicted while {evicted} older ones were the only ones gone"
+            );
+        }
+    }
+    Ok(evicted)
 }
 
 /// What the bulk side of one differential run did.
@@ -458,6 +509,48 @@ proptest! {
         let after_states: Vec<_> = live.iter().map(|&p| mm.page(p).state()).collect();
         prop_assert_eq!(before_states, after_states);
         assert_lru_accounting(&mm);
+    }
+
+    /// Never-touched File pages of one cgroup leave DRAM in insertion
+    /// order, whatever drives the reclaim: proactive reclaim of any
+    /// cgroup, `memory.max` (changed along the way) on the page's own
+    /// cgroup or its parent, or direct reclaim for any cgroup's
+    /// allocation — with other pages of the same list accessed, freed
+    /// and reclaimed in between. So the evicted pages of a churn FIFO
+    /// are always its prefix, which is what lets the machine drop them
+    /// by popping its front.
+    #[test]
+    fn untouched_file_pages_are_evicted_in_insertion_order(
+        slice_max in 32u64..200,
+        ops in prop::collection::vec(arb_churn_op(), 1..200),
+    ) {
+        let (mut mm, cgs) = build_diff_mm(slice_max);
+        let [slice, a, ..] = cgs;
+        let mut churn = VecDeque::new();
+        let (mut live, mut seen) = (Vec::new(), 0);
+        let mut now = SimTime::ZERO;
+        for op in &ops {
+            now += SimDuration::from_millis(100);
+            match op {
+                ChurnOp::Churn(n) => {
+                    mm.set_reclaim_trigger(Some(a));
+                    if let Ok(out) = mm.alloc_pages(a, PageKind::File, *n as u64, now) {
+                        churn.extend(out.pages);
+                    }
+                }
+                ChurnOp::Other(op) => apply_diff(&mut mm, &cgs, &mut live, &mut seen, now, op),
+                ChurnOp::SetMax(on_a, pages) => {
+                    let max = (*pages > 0).then(|| ByteSize::new(PAGE.as_u64() * *pages as u64));
+                    mm.set_memory_max(if *on_a { a } else { slice }, max);
+                }
+                ChurnOp::DropEvicted => {
+                    let evicted = evicted_prefix(&mm, &churn)?;
+                    let dead: Vec<PageId> = churn.drain(..evicted).collect();
+                    mm.free_pages_of(&dead);
+                }
+            }
+            evicted_prefix(&mm, &churn)?;
+        }
     }
 
     /// Differential check of the batched fast path: the same access

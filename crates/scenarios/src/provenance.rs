@@ -13,11 +13,11 @@
 //!
 //! The second half of the module is the validation harness the ledger
 //! ships with: [`PlantedScenario`]s with a *known* single offender, and
-//! [`evaluate_planted`], which runs the scenario twice (with and
-//! without the planted event, same host seed) to derive counterfactual
-//! ground truth, then scores both ledgers on top-offender precision and
-//! per-edge charge error. ISSUE/ROADMAP call this the blame
-//! ground-truth differential suite.
+//! [`evaluate_planted`], which compares the planted run with its
+//! baseline's [`baseline_stalls`] (the same host seed without the
+//! planted event) to derive counterfactual ground truth, then scores
+//! both ledgers on top-offender precision and per-edge charge error.
+//! This is the blame ground-truth differential suite.
 
 use tmo::prelude::*;
 
@@ -166,17 +166,27 @@ fn cross_edge_error(ledger: &BlameLedger, offender: usize, gt_extra: &[f64]) -> 
     err
 }
 
-/// Runs the planted scenario and its baseline on identically-seeded
-/// hosts (`mk_host` must build the same machine twice), derives the
-/// counterfactual ground truth — the extra stall each victim suffered
-/// *because* the planted event ran — and scores both ledgers.
+/// Per-container stall seconds of `baseline` run on `host`: the
+/// counterfactual side of [`evaluate_planted`]. [`run_scenario`] reads
+/// a scenario's name only as a label, so baselines with the same
+/// events and faults are one run per host, whichever planted case they
+/// came with.
+pub fn baseline_stalls(baseline: &Scenario, cfg: &ScenarioRunConfig, host: Machine) -> Vec<f64> {
+    let (outcome, _) = run_scenario(host, baseline, cfg);
+    outcome.reports.iter().map(|r| r.stall_secs).collect()
+}
+
+/// Runs the planted scenario on `host`, derives the counterfactual
+/// ground truth — the extra stall each victim suffered *because* the
+/// planted event ran, against `baseline`, the [`baseline_stalls`] of
+/// an identically-seeded host — and scores both ledgers.
 pub fn evaluate_planted(
     planted: &PlantedScenario,
     cfg: &ScenarioRunConfig,
-    mut mk_host: impl FnMut() -> Machine,
+    host: Machine,
+    baseline: &[f64],
 ) -> GroundTruthRow {
-    let (with, _) = run_scenario(mk_host(), &planted.scenario, cfg);
-    let (without, _) = run_scenario(mk_host(), &planted.baseline, cfg);
+    let (with, _) = run_scenario(host, &planted.scenario, cfg);
     let n = with.reports.len();
     let gt_extra: Vec<f64> = (0..n)
         .map(|v| {
@@ -185,7 +195,7 @@ pub fn evaluate_planted(
                 // definition; ground truth has no cross edge for it.
                 0.0
             } else {
-                (with.reports[v].stall_secs - without.reports[v].stall_secs).max(0.0)
+                (with.reports[v].stall_secs - baseline[v]).max(0.0)
             }
         })
         .collect();

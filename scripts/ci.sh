@@ -32,8 +32,8 @@ echo "==> blame ground truth: causal vs pro-rata differential (release)"
 # (tests/blame_ground_truth.rs): the provenance CausalLedger must name
 # the planted offender on every host, carry strictly less per-edge
 # charge error than the growth-pro-rata heuristic, and stay silent on
-# steady innocent hosts. Release mode: each planted case replays its
-# hosts twice (with and without the plant).
+# steady innocent hosts. Release mode: each host runs its event-free
+# baseline once, then every planted case.
 cargo test --release -q --offline --test blame_ground_truth
 
 echo "==> benchmark package: build and test (release)"
@@ -115,25 +115,31 @@ echo "==> figure suite: repro --all --jobs 4 vs docs/repro_output.txt"
     | diff -u docs/repro_output.txt - \
     || { echo "repro --all output drifted from docs/repro_output.txt"; exit 1; }
 
-echo "==> adversarial smoke: ext_adversarial --quick --jobs 4 vs golden"
+echo "==> adversarial smoke: ext_adversarial --quick --jobs 4 and 1 vs golden"
 # The scenario engine draws only from FaultPlan hashes of (seed, host
 # index, tick), so the quick adversarial sweep — degradation table,
 # blame edges, and the paired A/B verdict — is byte-stable across runs
 # and worker counts. Diffing against the golden pins both the engine's
 # determinism and the SLO/blame scoring pipeline.
-./target/release/repro --experiment ext_adversarial --quick --jobs 4 2>/dev/null \
-    | diff -u scripts/golden/ext_adversarial_quick.txt - \
-    || { echo "ext_adversarial output drifted from scripts/golden/ext_adversarial_quick.txt"; exit 1; }
+for jobs in 4 1; do
+    ./target/release/repro --experiment ext_adversarial --quick --jobs "$jobs" 2>/dev/null \
+        | diff -u scripts/golden/ext_adversarial_quick.txt - \
+        || { echo "ext_adversarial --jobs $jobs output drifted from scripts/golden/ext_adversarial_quick.txt"; exit 1; }
+done
 
-echo "==> blame-validation smoke: ext_blame_validation --quick --jobs 4 vs golden"
+echo "==> blame-validation smoke: ext_blame_validation --quick --jobs 4 and 1 vs golden"
 # Provenance tags reclaim with the already-chosen trigger and draws
 # nothing, so the precision table is byte-stable across runs and
 # worker counts. The golden pins the measured causal-vs-pro-rata
 # differential (top-offender precision and per-edge charge error);
 # the hard pass/fail thresholds live in tests/blame_ground_truth.rs.
-./target/release/repro --experiment ext_blame_validation --quick --jobs 4 2>/dev/null \
-    | diff -u scripts/golden/ext_blame_validation_quick.txt - \
-    || { echo "ext_blame_validation output drifted from scripts/golden/ext_blame_validation_quick.txt"; exit 1; }
+# The baselines run in one fleet pass shared by every planted case, so
+# both worker counts must reproduce the golden.
+for jobs in 4 1; do
+    ./target/release/repro --experiment ext_blame_validation --quick --jobs "$jobs" 2>/dev/null \
+        | diff -u scripts/golden/ext_blame_validation_quick.txt - \
+        || { echo "ext_blame_validation --jobs $jobs output drifted from scripts/golden/ext_blame_validation_quick.txt"; exit 1; }
+done
 
 echo "==> recorder CSV: fig08 + fig11 --quick --csv vs golden checksums"
 # The CSV export is the recorder's whole observable surface: every
