@@ -59,7 +59,7 @@ pub use container::{ContainerConfig, ContainerId};
 pub use machine::{Machine, MachineConfig, MachineScratch, SwapKind};
 pub use modulate::WorkloadModulator;
 pub use runner::{FleetError, FleetRunner, FleetStats, HostCtx, HostOutcome, ShardArena};
-pub use runtime::{ControllerKind, TmoRuntime};
+pub use runtime::TmoRuntime;
 pub use tmo_mm::ProvenanceCharge;
 
 /// Convenient glob-import surface for examples and experiments.
@@ -68,7 +68,7 @@ pub mod prelude {
     pub use crate::machine::{Machine, MachineConfig, MachineScratch, SwapKind};
     pub use crate::modulate::WorkloadModulator;
     pub use crate::runner::{FleetRunner, FleetStats, HostCtx, HostOutcome, ShardArena};
-    pub use crate::runtime::{ControllerKind, TmoRuntime};
+    pub use crate::runtime::TmoRuntime;
     pub use tmo_backends::{SsdModel, ZswapAllocator};
     pub use tmo_faults::FaultConfig;
     pub use tmo_gswap::GswapConfig;

@@ -170,11 +170,8 @@ pub struct Machine {
     prev_swap_reads: u64,
     /// Machine-wide PSI domain (union of every container's tasks).
     host_psi: PsiGroup,
-    /// Run-level swap-in latency percentiles (streaming).
-    swap_lat_p50: tmo_sim::P2Quantile,
-    swap_lat_p90: tmo_sim::P2Quantile,
+    /// Run-level p99 swap-in latency (streaming).
     swap_lat_p99: tmo_sim::P2Quantile,
-    swap_lat_mean: tmo_sim::Welford,
     /// Host-level fault schedule (signal loss, crash churn, panics);
     /// `None` when the run is fault-free.
     host_faults: Option<HostFaults>,
@@ -310,10 +307,7 @@ impl Machine {
             prev_fs_reads: 0,
             prev_swap_reads: 0,
             host_psi: PsiGroup::new(),
-            swap_lat_p50: tmo_sim::P2Quantile::new(0.5),
-            swap_lat_p90: tmo_sim::P2Quantile::new(0.9),
             swap_lat_p99: tmo_sim::P2Quantile::new(0.99),
-            swap_lat_mean: tmo_sim::Welford::new(),
             host_faults,
             signal_cache: Vec::new(),
             modulator: None,
@@ -424,16 +418,10 @@ impl Machine {
         g.free_bytes.as_u64() as f64 / g.total_dram.as_u64() as f64
     }
 
-    /// Run-level swap-in latency summary in milliseconds:
-    /// `(p50, p90, p99, mean)` over every swap fault so far (streaming
-    /// P² estimates; zeros before any swap-in).
-    pub fn swap_latency_summary_ms(&self) -> (f64, f64, f64, f64) {
-        (
-            self.swap_lat_p50.value() * 1e3,
-            self.swap_lat_p90.value() * 1e3,
-            self.swap_lat_p99.value() * 1e3,
-            self.swap_lat_mean.mean() * 1e3,
-        )
+    /// Run-level p99 swap-in latency in milliseconds over every swap
+    /// fault so far (a streaming P² estimate; zero before any swap-in).
+    pub fn swap_latency_p99_ms(&self) -> f64 {
+        self.swap_lat_p99.value() * 1e3
     }
 
     /// Creates an intermediate cgroup (a "slice" in systemd terms) to
@@ -845,13 +833,10 @@ impl Machine {
             );
             let first_lat = swap_latencies.len();
             let batch = self.mm.access_batch(&ids, now, swap_latencies);
-            // Swap-in latencies feed the streaming estimators in the
-            // same occurrence order as the former per-outcome loop.
+            // Swap-in latencies feed the streaming p99 estimator in
+            // occurrence order.
             for &secs in &swap_latencies[first_lat..] {
-                self.swap_lat_p50.observe(secs);
-                self.swap_lat_p90.observe(secs);
                 self.swap_lat_p99.observe(secs);
-                self.swap_lat_mean.observe(secs);
             }
             stats.accesses += batch.accesses;
             stats.faults += batch.faults;
@@ -1631,17 +1616,14 @@ mod tests {
             ..MachineConfig::default()
         });
         let id = m.add_container(&small_profile());
-        assert_eq!(m.swap_latency_summary_ms(), (0.0, 0.0, 0.0, 0.0));
+        assert_eq!(m.swap_latency_p99_ms(), 0.0);
         // Force heavy churn so plenty of swap-ins happen.
         for _ in 0..10 {
             m.reclaim(id, ByteSize::from_mib(24));
             m.run(SimDuration::from_secs(10));
         }
-        let (p50, p90, p99, mean) = m.swap_latency_summary_ms();
-        assert!(p50 > 0.0);
-        assert!(p50 <= p90 && p90 <= p99, "{p50} {p90} {p99}");
-        assert!(mean >= p50 * 0.3 && mean <= p99, "mean {mean}");
         // Device B's p99 is ~5.2 ms on an idle device.
+        let p99 = m.swap_latency_p99_ms();
         assert!((1.0..20.0).contains(&p99), "p99 {p99} ms");
     }
 

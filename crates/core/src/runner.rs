@@ -27,13 +27,22 @@
 //!   host's result is still reduced in index order (chaos experiments
 //!   lose one host, not the fleet).
 //!
-//! # One engine, two helpers
+//! # One engine, three helpers
 //!
-//! [`FleetRunner::run_collect_seeded_sharded`] is the only engine. Two
-//! thin helpers cover the other call shapes:
+//! [`FleetRunner::run_collect_seeded_sharded`] is the only engine.
+//! Three thin helpers cover the other call shapes:
 //! [`FleetRunner::try_run`] fails fast with the lowest-index
-//! [`FleetError`], and [`FleetRunner::run`] fans out index-only work
-//! items (figure tiers, sweep points) and panics on failure.
+//! [`FleetError`], [`FleetRunner::run`] fans out index-only work items
+//! (figure tiers, sweep points) and panics on failure, and
+//! [`FleetRunner::run_grid`] runs every `(case, host)` pair of an A/B
+//! style sweep — each case on the same seeded hosts — in one pass.
+//!
+//! The grid's flat index is **host-major**, `host × cases + case`.
+//! [`shard_plan`] lifts a small fleet to one fair-share shard per
+//! worker, so a case-major order would hand one worker whole cases,
+//! and with them all the expensive scenarios, while another idles;
+//! host-major puts every case of a host in the same shard, so each
+//! worker gets the same mix of cases.
 //!
 //! # Why shards instead of one task per host
 //!
@@ -405,6 +414,53 @@ impl FleetRunner {
             Ok((results, _)) => results,
             Err(e) => panic!("{e}"),
         }
+    }
+
+    /// Runs every `(case, host)` pair of `cases × 0..hosts` in one
+    /// [`FleetRunner::run_collect_seeded_sharded`] pass and returns the
+    /// outcomes per case, each in host order: `grid[case][host]`.
+    ///
+    /// Every cell sees the [`HostCtx`] a plain `hosts`-host run would
+    /// give its host (`index` = host, `seed` =
+    /// [`FleetRunner::host_seed`]), so each case runs on the same seeded
+    /// hosts. A panicking cell fails only itself, and its
+    /// [`FleetError::host`] names the host. The flat index is
+    /// host-major, `host × cases + case`, so that [`shard_plan`] deals
+    /// every worker the same mix of cases (see the module docs).
+    pub fn run_grid<C, T, F>(
+        &self,
+        experiment_seed: u64,
+        cases: &[C],
+        hosts: usize,
+        f: F,
+    ) -> (Vec<Vec<HostOutcome<T>>>, FleetStats)
+    where
+        C: Sync,
+        T: Send,
+        F: Fn(&C, HostCtx, &mut ShardArena) -> T + Sync,
+    {
+        let width = cases.len();
+        let (cells, stats) =
+            self.run_collect_seeded_sharded(experiment_seed, width * hosts, |cell, arena| {
+                let host = cell.index / width;
+                let ctx = HostCtx {
+                    index: host,
+                    seed: FleetRunner::host_seed(experiment_seed, host),
+                };
+                f(&cases[cell.index % width], ctx, arena)
+            });
+        let mut grid: Vec<Vec<HostOutcome<T>>> =
+            (0..width).map(|_| Vec::with_capacity(hosts)).collect();
+        for (cell, outcome) in cells.into_iter().enumerate() {
+            grid[cell % width].push(match outcome {
+                HostOutcome::Failed(e) => HostOutcome::Failed(FleetError {
+                    host: cell / width,
+                    ..e
+                }),
+                completed => completed,
+            });
+        }
+        (grid, stats)
     }
 
     /// The fleet engine: runs `hosts` simulations with seeds derived
@@ -813,6 +869,54 @@ mod tests {
                 "host {index} should have survived its shard-mates' panics"
             );
         }
+    }
+
+    #[test]
+    fn grid_returns_each_case_in_host_order_with_the_plain_host_ctx() {
+        let cases = [10u64, 20, 30];
+        let (grid, stats) = FleetRunner::exact(2).run_grid(77, &cases, 5, |case, host, _| {
+            (*case, host.index, host.seed)
+        });
+        assert_eq!(stats.hosts, 15);
+        assert_eq!(grid.len(), cases.len());
+        for (k, row) in grid.iter().enumerate() {
+            assert_eq!(row.len(), 5);
+            for (host, cell) in row.iter().enumerate() {
+                let seed = FleetRunner::host_seed(77, host);
+                assert_eq!(cell.completed(), Some(&(cases[k], host, seed)));
+            }
+        }
+    }
+
+    #[test]
+    fn grid_is_identical_for_any_worker_count() {
+        let f = |case: &u64, host: HostCtx, _: &mut ShardArena| {
+            if (host.index as u64 + case) % 5 == 3 {
+                panic!("cell {case}/{}", host.index);
+            }
+            host.seed.rotate_left(*case as u32)
+        };
+        let cases = [1u64, 2, 3, 4];
+        let (seq, _) = FleetRunner::sequential().run_grid(5, &cases, 9, f);
+        for jobs in [4, 8] {
+            assert_eq!(seq, FleetRunner::exact(jobs).run_grid(5, &cases, 9, f).0);
+        }
+    }
+
+    #[test]
+    fn a_panicking_grid_cell_fails_alone_and_names_its_host() {
+        let (grid, _) = FleetRunner::exact(4).run_grid(0, &[0usize, 1, 2], 6, |case, host, _| {
+            if *case == 1 && host.index == 4 {
+                panic!("bad cell");
+            }
+            case * 100 + host.index
+        });
+        let e = grid[1][4].failure().expect("cell (1, 4) panicked");
+        assert_eq!(e.host, 4);
+        assert_eq!(e.message, "bad cell");
+        let failed = grid.iter().flatten().filter(|o| o.is_failed()).count();
+        assert_eq!(failed, 1);
+        assert_eq!(grid[2][4].completed(), Some(&204));
     }
 
     #[test]

@@ -120,10 +120,7 @@ pub fn reclaim_knob(stateless: bool, scale: Scale) -> KnobResult {
         machine
             .mm_mut()
             .set_memory_max(cg, Some(profile.mem_total.mul_f64(0.55)));
-        let deadline = machine.now() + duration;
-        while machine.now() < deadline {
-            machine.tick();
-        }
+        machine.run(duration);
     }
     let g = machine.mm().global_stat();
     let resident = machine.mm().memory_current(cg).as_mib();

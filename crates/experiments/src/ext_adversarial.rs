@@ -11,18 +11,21 @@
 //! most stall").
 //!
 //! It closes with a paired A/B harness: the same seeded hosts run the
-//! flash-crowd script twice, under the mild production Senpai tuning
-//! and the aggressive §4.4 config-B tuning, and the per-host paired
-//! differences feed a t-statistic significance summary. Traffic is
-//! identical by construction (same seeds, same scenario, same scripts),
-//! so every difference is the controller's doing.
+//! flash-crowd script under the mild production Senpai tuning and the
+//! aggressive §4.4 config-B tuning, and the per-host paired
+//! differences feed a t-statistic significance summary. The A tier is
+//! the catalog's own flash-crowd runs, so only config-B adds runs.
+//! Traffic is identical by construction (same seeds, same scenario,
+//! same scripts), so every difference is the controller's doing.
 //!
-//! Like every experiment here, the whole table is bit-identical for
-//! any `--jobs N`: scenario draws hash `(seed, tick)` via
-//! `tmo_faults::FaultPlan` and hosts aggregate in index order.
+//! Every (scenario, host) pair, config-B tier included, runs in one
+//! [`FleetRunner::run_grid`] pass. Like every experiment here, the
+//! whole table is bit-identical for any `--jobs N`: scenario draws
+//! hash `(seed, tick)` via `tmo_faults::FaultPlan` and hosts aggregate
+//! in index order.
 
 use tmo::prelude::*;
-use tmo::runner::FleetRunner;
+use tmo::runner::{FleetRunner, HostOutcome};
 use tmo_scenarios::prelude::*;
 
 use crate::report::{pct, ExperimentOutput, Scale};
@@ -122,19 +125,52 @@ pub struct ScenarioPoint {
     pub top_blame: Option<(String, String, f64, f64)>,
 }
 
-/// Runs one scenario's fleet on the given runner and aggregates.
-pub fn run_point(runner: &FleetRunner, scenario: &Scenario, scale: Scale) -> ScenarioPoint {
-    let cfg = run_config(scale, false);
-    let (outcomes, stats) =
-        runner.run_collect_seeded_sharded(EXPERIMENT_SEED, HOSTS_PER_SCENARIO, |host, arena| {
+/// The name of the catalog scenario the A/B harness compares on: the
+/// sharpest clean-traffic one.
+const AB_SCENARIO: &str = "flash_crowd";
+
+/// Runs `scenarios` under the production tuning plus, if one of them
+/// is `flash_crowd`, that scenario under config-B, on every host in one
+/// fleet pass. Returns one point per scenario and the A/B verdict, whose
+/// A tier is the `flash_crowd` point's own runs: same seeds, same
+/// scenario, same config.
+pub fn simulate(
+    runner: &FleetRunner,
+    scenarios: &[Scenario],
+    scale: Scale,
+) -> (Vec<ScenarioPoint>, Option<AbResult>) {
+    let (production, config_b) = (run_config(scale, false), run_config(scale, true));
+    let ab = scenarios.iter().position(|s| s.name == AB_SCENARIO);
+    let cases: Vec<(&Scenario, &ScenarioRunConfig)> = scenarios
+        .iter()
+        .map(|s| (s, &production))
+        .chain(ab.map(|a| (&scenarios[a], &config_b)))
+        .collect();
+    let (grid, stats) = runner.run_grid(
+        EXPERIMENT_SEED,
+        &cases,
+        HOSTS_PER_SCENARIO,
+        |&(scenario, cfg), host, arena| {
             let machine = build_host(host.seed, scale, scenario.faults, arena.take_scratch());
-            let (outcome, machine) = run_scenario(machine, scenario, &cfg);
+            let (outcome, machine) = run_scenario(machine, scenario, cfg);
             arena.put_scratch(machine.into_scratch());
             outcome
-        });
+        },
+    );
     // Diagnostics to stderr: stdout must stay bit-identical per --jobs.
-    eprintln!("adversarial {}: {}", scenario.name, stats.summary_line());
-    for outcome in &outcomes {
+    eprintln!("adversarial: {}", stats.summary_line());
+    let points = scenarios
+        .iter()
+        .zip(&grid)
+        .map(|(scenario, outcomes)| point(scenario, outcomes))
+        .collect();
+    let ab = ab.map(|a| ab_result(&scenarios[a].name, &grid[a], &grid[scenarios.len()]));
+    (points, ab)
+}
+
+/// Aggregates one scenario's host outcomes into its point.
+fn point(scenario: &Scenario, outcomes: &[HostOutcome<ScenarioOutcome>]) -> ScenarioPoint {
+    for outcome in outcomes {
         if let Some(e) = outcome.failure() {
             eprintln!(
                 "adversarial {}: host {} lost: {}",
@@ -191,50 +227,28 @@ pub struct AbResult {
     pub significance: Significance,
 }
 
-/// Runs the A/B harness: every host runs `scenario` twice — same seed,
-/// same traffic script, different controller tuning — and the paired
-/// per-host degradation scores feed the significance test.
-pub fn run_ab(runner: &FleetRunner, scenario: &Scenario, scale: Scale) -> AbResult {
-    let cfg_a = run_config(scale, false);
-    let cfg_b = run_config(scale, true);
-    let (outcomes, stats) =
-        runner.run_collect_seeded_sharded(EXPERIMENT_SEED, HOSTS_PER_SCENARIO, |host, arena| {
-            let machine = build_host(host.seed, scale, scenario.faults, arena.take_scratch());
-            let (a, machine) = run_scenario(machine, scenario, &cfg_a);
-            // Tier B rebuilds from the same seed: identical containers,
-            // identical scripted traffic, different controller.
-            let machine = build_host(host.seed, scale, scenario.faults, machine.into_scratch());
-            let (b, machine) = run_scenario(machine, scenario, &cfg_b);
-            arena.put_scratch(machine.into_scratch());
-            (a.total_degradation, b.total_degradation)
-        });
-    eprintln!(
-        "adversarial a/b {}: {}",
-        scenario.name,
-        stats.summary_line()
-    );
-    let pairs: Vec<(f64, f64)> = outcomes
+/// Pairs each host's A and B runs — same seed, same traffic script,
+/// different controller tuning — and feeds the paired per-host
+/// degradation scores to the significance test. A host whose A or B
+/// run panicked drops out of the pairing.
+fn ab_result(
+    scenario: &str,
+    a: &[HostOutcome<ScenarioOutcome>],
+    b: &[HostOutcome<ScenarioOutcome>],
+) -> AbResult {
+    let (a_degradation, b_degradation): (Vec<f64>, Vec<f64>) = a
         .iter()
-        .filter_map(|o| o.completed())
-        .copied()
-        .collect();
-    let a_degradation: Vec<f64> = pairs.iter().map(|p| p.0).collect();
-    let b_degradation: Vec<f64> = pairs.iter().map(|p| p.1).collect();
+        .zip(b)
+        .filter_map(|(a, b)| Some((a.completed()?, b.completed()?)))
+        .map(|(a, b)| (a.total_degradation, b.total_degradation))
+        .unzip();
     let significance = paired_significance(&a_degradation, &b_degradation);
     AbResult {
-        scenario: scenario.name.clone(),
+        scenario: scenario.to_string(),
         a_degradation,
         b_degradation,
         significance,
     }
-}
-
-/// Runs every catalog scenario on the given runner.
-pub fn simulate(runner: &FleetRunner, scale: Scale) -> Vec<ScenarioPoint> {
-    scenarios(scale)
-        .iter()
-        .map(|s| run_point(runner, s, scale))
-        .collect()
 }
 
 /// Regenerates the adversarial table on the given runner.
@@ -243,7 +257,8 @@ pub fn run(runner: &FleetRunner, scale: Scale) -> ExperimentOutput {
         "extension-adversarial",
         "adversarial scenario replay: SLO degradation and blame attribution",
     );
-    let points = simulate(runner, scale);
+    let (points, ab) = simulate(runner, &scenarios(scale), scale);
+    let ab = ab.expect("the catalog holds the A/B scenario");
     out.line(format!(
         "{:<14} {:>7} {:>7} {:>6} {:>9} {:>6} {:>7}  {}",
         "scenario", "score", "stall", "kills", "recovery", "viols", "failed", "top blame edge"
@@ -271,10 +286,6 @@ pub fn run(runner: &FleetRunner, scale: Scale) -> ExperimentOutput {
     }
     out.line(String::new());
 
-    // The paired A/B harness on the sharpest clean-traffic scenario.
-    let run = run_duration(scale);
-    let dram = ByteSize::from_mib(scale.dram_mib());
-    let ab = run_ab(runner, &catalog::flash_crowd(run, dram), scale);
     let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
     out.line(format!(
         "a/b on {}: production tuning {:.1} vs aggressive config-B {:.1} mean degradation",
@@ -298,27 +309,30 @@ pub fn run(runner: &FleetRunner, scale: Scale) -> ExperimentOutput {
 mod tests {
     use super::*;
 
+    fn catalog_subset(names: &[&str]) -> Vec<Scenario> {
+        let scale = Scale::Quick;
+        scenarios(scale)
+            .into_iter()
+            .filter(|s| names.contains(&s.name.as_str()))
+            .collect()
+    }
+
     #[test]
     fn steady_scenario_is_the_quiet_baseline() {
-        let scale = Scale::Quick;
-        let steady = run_point(
-            &FleetRunner::new(2),
-            &catalog::steady(run_duration(scale), ByteSize::from_mib(scale.dram_mib())),
-            scale,
-        );
+        let scenarios = catalog_subset(&["steady"]);
+        let (points, ab) = simulate(&FleetRunner::new(2), &scenarios, Scale::Quick);
+        let steady = &points[0];
         assert_eq!(steady.failed_hosts, 0);
         assert_eq!(steady.kills, 0, "no events, no kills: {steady:?}");
         assert_eq!(steady.worst_recovery_secs, 0.0);
+        assert_eq!(ab, None, "no A/B tier without {AB_SCENARIO}");
     }
 
     #[test]
     fn adversarial_scenarios_degrade_more_than_steady() {
-        let scale = Scale::Quick;
-        let runner = FleetRunner::new(2);
-        let run = run_duration(scale);
-        let dram = ByteSize::from_mib(scale.dram_mib());
-        let steady = run_point(&runner, &catalog::steady(run, dram), scale);
-        let leak = run_point(&runner, &catalog::slow_leak(run, dram), scale);
+        let scenarios = catalog_subset(&["steady", "slow_leak"]);
+        let (points, _) = simulate(&FleetRunner::new(2), &scenarios, Scale::Quick);
+        let (steady, leak) = (&points[0], &points[1]);
         assert!(
             leak.mean_degradation >= steady.mean_degradation,
             "leak {leak:?} vs steady {steady:?}"
@@ -327,23 +341,23 @@ mod tests {
 
     #[test]
     fn points_are_identical_for_any_worker_count() {
-        let scale = Scale::Quick;
-        let scenario =
-            catalog::composite(run_duration(scale), ByteSize::from_mib(scale.dram_mib()));
-        let seq = run_point(&FleetRunner::sequential(), &scenario, scale);
-        let par = run_point(&FleetRunner::exact(4), &scenario, scale);
+        let scenarios = catalog_subset(&["composite"]);
+        let seq = simulate(&FleetRunner::sequential(), &scenarios, Scale::Quick);
+        let par = simulate(&FleetRunner::exact(4), &scenarios, Scale::Quick);
         assert_eq!(seq, par);
     }
 
     #[test]
     fn ab_harness_is_deterministic_and_paired() {
-        let scale = Scale::Quick;
-        let scenario =
-            catalog::flash_crowd(run_duration(scale), ByteSize::from_mib(scale.dram_mib()));
-        let seq = run_ab(&FleetRunner::sequential(), &scenario, scale);
-        let par = run_ab(&FleetRunner::exact(4), &scenario, scale);
-        assert_eq!(seq, par);
+        let scenarios = catalog_subset(&[AB_SCENARIO]);
+        let (seq_points, seq) = simulate(&FleetRunner::sequential(), &scenarios, Scale::Quick);
+        let (_, par) = simulate(&FleetRunner::exact(4), &scenarios, Scale::Quick);
+        let seq = seq.expect("A/B tier ran");
+        assert_eq!(Some(&seq), par.as_ref());
         assert_eq!(seq.significance.n, seq.a_degradation.len());
         assert_eq!(seq.a_degradation.len(), seq.b_degradation.len());
+        // The A tier is the catalog point's own runs.
+        let mean = seq.a_degradation.iter().sum::<f64>() / seq.a_degradation.len() as f64;
+        assert_eq!(mean, seq_points[0].mean_degradation);
     }
 }

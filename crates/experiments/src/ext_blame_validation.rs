@@ -18,12 +18,14 @@
 //! name the planted offender in 100% of cases and carry strictly less
 //! per-edge error than the pro-rata heuristic.
 //!
-//! Bit-identical for any `--jobs N`: provenance draws nothing (it tags
-//! reclaim with the already-chosen trigger), and hosts aggregate in
-//! index order.
+//! The event-free baseline and every planted case run on every host in
+//! one [`FleetRunner::run_grid`] pass, the baseline as case 0, and are
+//! scored after it. Bit-identical for any `--jobs N`: provenance draws
+//! nothing (it tags reclaim with the already-chosen trigger), and hosts
+//! aggregate in index order.
 
 use tmo::prelude::*;
-use tmo::runner::FleetRunner;
+use tmo::runner::{FleetRunner, HostOutcome};
 use tmo_scenarios::prelude::*;
 
 use crate::report::{pct, ExperimentOutput, Scale};
@@ -119,54 +121,53 @@ pub struct CaseResult {
     pub extra_stall_secs: f64,
 }
 
-/// Runs `baseline` once on every host of the fleet: the
-/// [`baseline_stalls`] each planted case on that host is scored
-/// against, in host-index order.
-fn run_baselines(
+/// Runs the cases' shared event-free baseline and every case in
+/// `cases` on every host in one fleet pass: `grid[0]` holds the
+/// baseline's outcomes and `grid[1 + i]` those of `cases[i]`, each in
+/// host order.
+///
+/// # Panics
+///
+/// Panics if `cases` is empty or its cases do not share one baseline.
+fn run_cases(
     runner: &FleetRunner,
-    baseline: &Scenario,
+    cases: &[PlantedScenario],
     scale: Scale,
-) -> Vec<HostOutcome<Vec<f64>>> {
+) -> Vec<Vec<HostOutcome<ScenarioOutcome>>> {
+    let baseline = &cases[0].baseline;
+    assert!(
+        cases
+            .iter()
+            .all(|c| c.baseline.events == baseline.events && c.baseline.faults == baseline.faults),
+        "planted cases must share one baseline run"
+    );
+    let runs: Vec<&Scenario> = std::iter::once(baseline)
+        .chain(cases.iter().map(|c| &c.scenario))
+        .collect();
     let cfg = run_config(scale);
-    let (stalls, stats) =
-        runner.run_collect_seeded_sharded(EXPERIMENT_SEED, HOSTS_PER_CASE, |host, _arena| {
-            baseline_stalls(baseline, &cfg, build_host(host.seed, scale))
-        });
+    let (grid, stats) = runner.run_grid(
+        EXPERIMENT_SEED,
+        &runs,
+        HOSTS_PER_CASE,
+        |scenario, host, _arena| run_scenario(build_host(host.seed, scale), scenario, &cfg).0,
+    );
     // Diagnostics to stderr: stdout must stay bit-identical per --jobs.
-    eprintln!("blame-validation baseline: {}", stats.summary_line());
-    stalls
+    eprintln!("blame-validation: {}", stats.summary_line());
+    grid
 }
 
-/// Runs one planted case across the fleet against each host's
-/// `baselines` entry (from [`run_baselines`]) and aggregates. A host
-/// whose baseline or planted run panicked drops out of the case.
-fn run_case(
-    runner: &FleetRunner,
+/// Scores one planted case from its hosts' `planted` outcomes and the
+/// shared `baseline` outcomes, both in host order. A host whose
+/// baseline or planted run panicked drops out of the case.
+fn score_case(
     case: &PlantedScenario,
-    scale: Scale,
-    baselines: &[HostOutcome<Vec<f64>>],
+    baseline: &[HostOutcome<ScenarioOutcome>],
+    planted: &[HostOutcome<ScenarioOutcome>],
 ) -> CaseResult {
-    let cfg = run_config(scale);
-    let (rows, stats) =
-        runner.run_collect_seeded_sharded(EXPERIMENT_SEED, HOSTS_PER_CASE, |host, _arena| {
-            let baseline = baselines[host.index].completed()?;
-            Some(evaluate_planted(
-                case,
-                &cfg,
-                build_host(host.seed, scale),
-                baseline,
-            ))
-        });
-    // Diagnostics to stderr: stdout must stay bit-identical per --jobs.
-    eprintln!(
-        "blame-validation {} (offender {}): {}",
-        case.scenario.name,
-        case.offender,
-        stats.summary_line()
-    );
-    let rows: Vec<&GroundTruthRow> = rows
+    let rows: Vec<GroundTruthRow> = baseline
         .iter()
-        .filter_map(|r| r.completed()?.as_ref())
+        .zip(planted)
+        .filter_map(|(b, p)| Some(evaluate_planted(case, p.completed()?, b.completed()?)))
         .collect();
     let n = rows.len().max(1) as f64;
     CaseResult {
@@ -181,21 +182,15 @@ fn run_case(
     }
 }
 
-/// Runs every planted case on the given runner. The cases share one
-/// event-free baseline, so it runs once per host, not once per case.
+/// Runs every planted case on the given runner, against one baseline
+/// run per host.
 pub fn simulate(runner: &FleetRunner, scale: Scale) -> Vec<CaseResult> {
     let cases = planted_cases(scale);
-    let baseline = &cases[0].baseline;
-    assert!(
-        cases
-            .iter()
-            .all(|c| c.baseline.events == baseline.events && c.baseline.faults == baseline.faults),
-        "planted cases must share one baseline run"
-    );
-    let baselines = run_baselines(runner, baseline, scale);
+    let grid = run_cases(runner, &cases, scale);
     cases
         .iter()
-        .map(|c| run_case(runner, c, scale, &baselines))
+        .zip(&grid[1..])
+        .map(|(case, planted)| score_case(case, &grid[0], planted))
         .collect()
 }
 
@@ -268,31 +263,32 @@ mod tests {
     #[test]
     fn a_host_without_a_baseline_drops_out_of_the_case() {
         let scale = Scale::Quick;
-        let runner = FleetRunner::new(2);
-        let case = &planted_cases(scale)[0];
-        let mut baselines = run_baselines(&runner, &case.baseline, scale);
-        let complete = run_case(&runner, case, scale, &baselines);
+        let cases = &planted_cases(scale)[..1];
+        let grid = run_cases(&FleetRunner::new(2), cases, scale);
+        let complete = score_case(&cases[0], &grid[0], &grid[1]);
         assert_eq!(complete.hosts, HOSTS_PER_CASE);
-        baselines[1] = HostOutcome::Failed(tmo::FleetError {
-            host: 1,
-            message: "baseline panicked".to_string(),
-        });
-        let partial = run_case(&runner, case, scale, &baselines);
+        let failed = |host: usize| {
+            HostOutcome::Failed(tmo::FleetError {
+                host,
+                message: "panicked".to_string(),
+            })
+        };
+        let mut baseline = grid[0].clone();
+        baseline[1] = failed(1);
+        let partial = score_case(&cases[0], &baseline, &grid[1]);
+        assert_eq!(partial.hosts, HOSTS_PER_CASE - 1);
+        let mut planted = grid[1].clone();
+        planted[2] = failed(2);
+        let partial = score_case(&cases[0], &grid[0], &planted);
         assert_eq!(partial.hosts, HOSTS_PER_CASE - 1);
     }
 
     #[test]
     fn cases_are_identical_for_any_worker_count() {
         let scale = Scale::Quick;
-        let case = &planted_cases(scale)[0];
-        let run = |runner: FleetRunner| {
-            let baselines = run_baselines(&runner, &case.baseline, scale);
-            run_case(&runner, case, scale, &baselines)
-        };
-        let seq = run(FleetRunner::sequential());
-        let par4 = run(FleetRunner::exact(4));
-        let par8 = run(FleetRunner::exact(8));
-        assert_eq!(seq, par4);
-        assert_eq!(seq, par8);
+        let cases = &planted_cases(scale)[..1];
+        let seq = run_cases(&FleetRunner::sequential(), cases, scale);
+        assert_eq!(seq, run_cases(&FleetRunner::exact(4), cases, scale));
+        assert_eq!(seq, run_cases(&FleetRunner::exact(8), cases, scale));
     }
 }

@@ -11,12 +11,12 @@
 //! hashes of `(experiment seed, host index, tick)`, so the whole sweep
 //! — including which hosts die and when — is bit-identical for any
 //! `--jobs N`. Injected host panics are absorbed per host by
-//! [`FleetRunner::run_collect_seeded_sharded`]; dead swap devices fail over
+//! [`FleetRunner::run_grid`]; dead swap devices fail over
 //! (tiered hosts route around the dead tier, the rest degrade to
 //! zero-fill loads counted as `lost_loads`).
 
 use tmo::prelude::*;
-use tmo::runner::FleetRunner;
+use tmo::runner::{FleetRunner, HostOutcome};
 
 use crate::report::{pct, ExperimentOutput, Scale};
 
@@ -138,10 +138,9 @@ pub fn run_host(
     rt.run(SimDuration::from_mins(scale.minutes().max(5)));
     let m = rt.machine();
     let stats = m.mm().swap_stats().unwrap_or_default();
-    let (_, _, p99, _) = m.swap_latency_summary_ms();
     let report = ChaosHostReport {
         savings: m.savings_fraction(ContainerId(0)).max(0.0),
-        p99_swap_ms: p99,
+        p99_swap_ms: m.swap_latency_p99_ms(),
         failovers: stats.failovers,
         lost_loads: m.mm().global_stat().lost_loads,
         faults_injected: stats.faults_injected,
@@ -151,11 +150,15 @@ pub fn run_host(
     (report, rt.into_machine().into_scratch())
 }
 
-/// Runs one intensity point's fleet on the given runner and aggregates.
-/// Hosts recycle machine scratch through their worker's shard arena.
-pub fn run_point(runner: &FleetRunner, intensity: f64, scale: Scale) -> ChaosPoint {
-    let (outcomes, stats) =
-        runner.run_collect_seeded_sharded(EXPERIMENT_SEED, HOSTS_PER_POINT, |host, arena| {
+/// Runs the sweep over `intensities` on the given runner: every
+/// (intensity, host) pair in one fleet pass, hosts recycling machine
+/// scratch through their worker's shard arena.
+pub fn simulate(runner: &FleetRunner, intensities: &[f64], scale: Scale) -> Vec<ChaosPoint> {
+    let (grid, stats) = runner.run_grid(
+        EXPERIMENT_SEED,
+        intensities,
+        HOSTS_PER_POINT,
+        |&intensity, host, arena| {
             let (report, scratch) = run_host(
                 host.seed,
                 host.index,
@@ -165,12 +168,22 @@ pub fn run_point(runner: &FleetRunner, intensity: f64, scale: Scale) -> ChaosPoi
             );
             arena.put_scratch(scratch);
             report
-        });
+        },
+    );
     // Diagnostics to stderr: stdout must stay bit-identical per --jobs.
-    eprintln!("chaos intensity {intensity}: {}", stats.summary_line());
+    eprintln!("chaos: {}", stats.summary_line());
+    intensities
+        .iter()
+        .zip(&grid)
+        .map(|(&intensity, outcomes)| point(intensity, outcomes))
+        .collect()
+}
+
+/// Aggregates one intensity's host outcomes into its point.
+fn point(intensity: f64, outcomes: &[HostOutcome<ChaosHostReport>]) -> ChaosPoint {
     let survivors: Vec<&ChaosHostReport> = outcomes.iter().filter_map(|o| o.completed()).collect();
     let failed_hosts = outcomes.len() - survivors.len();
-    for outcome in &outcomes {
+    for outcome in outcomes {
         if let Some(e) = outcome.failure() {
             eprintln!(
                 "chaos intensity {intensity}: host {} lost: {}",
@@ -195,21 +208,13 @@ pub fn run_point(runner: &FleetRunner, intensity: f64, scale: Scale) -> ChaosPoi
     }
 }
 
-/// Runs the whole sweep on the given runner.
-pub fn simulate(runner: &FleetRunner, scale: Scale) -> Vec<ChaosPoint> {
-    INTENSITIES
-        .iter()
-        .map(|&intensity| run_point(runner, intensity, scale))
-        .collect()
-}
-
 /// Regenerates the degradation table on the given runner.
 pub fn run(runner: &FleetRunner, scale: Scale) -> ExperimentOutput {
     let mut out = ExperimentOutput::new(
         "extension-chaos",
         "deterministic fault injection: degradation curve over fault intensity",
     );
-    let points = simulate(runner, scale);
+    let points = simulate(runner, &INTENSITIES, scale);
     out.line(format!(
         "{:<10} {:>9} {:>12} {:>10} {:>10} {:>11} {:>10} {:>8}",
         "intensity",
@@ -257,7 +262,7 @@ mod tests {
 
     #[test]
     fn zero_intensity_matches_a_fault_free_fleet() {
-        let p = run_point(&FleetRunner::new(2), 0.0, Scale::Quick);
+        let p = &simulate(&FleetRunner::new(2), &[0.0], Scale::Quick)[0];
         assert_eq!(p.failed_hosts, 0);
         assert_eq!(p.io_errors, 0);
         assert_eq!(p.failovers, 0);
@@ -268,7 +273,7 @@ mod tests {
 
     #[test]
     fn full_chaos_degrades_gracefully_with_failover() {
-        let p = run_point(&FleetRunner::new(4), 1.0, Scale::Quick);
+        let p = &simulate(&FleetRunner::new(4), &[1.0], Scale::Quick)[0];
         // Faults actually landed somewhere in the surviving fleet.
         assert!(
             p.faults_injected > 0 || p.failed_hosts > 0,
@@ -289,8 +294,8 @@ mod tests {
     fn sweep_is_identical_for_any_worker_count() {
         // exact(4): really spawn 4 workers even on a small machine, so
         // the parallel merge path is what gets compared.
-        let seq = run_point(&FleetRunner::sequential(), 0.5, Scale::Quick);
-        let par = run_point(&FleetRunner::exact(4), 0.5, Scale::Quick);
+        let seq = simulate(&FleetRunner::sequential(), &[0.5], Scale::Quick);
+        let par = simulate(&FleetRunner::exact(4), &[0.5], Scale::Quick);
         assert_eq!(seq, par);
     }
 }

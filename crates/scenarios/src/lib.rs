@@ -80,9 +80,7 @@ pub use ab::{paired_significance, Significance};
 pub use blame::{BlameAttribution, BlameLedger};
 pub use engine::ScenarioEngine;
 pub use event::{EventKind, ScenarioEvent, Target, Window};
-pub use provenance::{
-    baseline_stalls, evaluate_planted, CausalLedger, GroundTruthRow, PlantedScenario,
-};
+pub use provenance::{evaluate_planted, CausalLedger, GroundTruthRow, PlantedScenario};
 pub use run::{run_scenario, ScenarioOutcome, ScenarioRunConfig};
 pub use scenario::Scenario;
 pub use slo::{SloConfig, SloReport, SloTracker};
@@ -94,7 +92,7 @@ pub mod prelude {
     pub use crate::engine::ScenarioEngine;
     pub use crate::event::{EventKind, ScenarioEvent, Target, Window};
     pub use crate::provenance::{
-        baseline_stalls, evaluate_planted, planted, CausalLedger, GroundTruthRow, PlantedScenario,
+        evaluate_planted, planted, CausalLedger, GroundTruthRow, PlantedScenario,
     };
     pub use crate::run::{run_scenario, ScenarioOutcome, ScenarioRunConfig};
     pub use crate::scenario::{catalog, Scenario};

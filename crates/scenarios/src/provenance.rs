@@ -8,21 +8,20 @@
 //! when this page was pushed out?), and every refault or direct-reclaim
 //! stall is charged to the cgroup that actually triggered the eviction
 //! — at the reclaim decision point, not post-hoc from resident-growth
-//! series. [`run_scenario`] drains those charges each tick into a
-//! second [`BlameLedger`] through [`BlameLedger::charge`].
+//! series. [`run_scenario`](crate::run_scenario) drains those charges
+//! each tick into a second [`BlameLedger`] through
+//! [`BlameLedger::charge`].
 //!
 //! The second half of the module is the validation harness the ledger
 //! ships with: [`PlantedScenario`]s with a *known* single offender, and
-//! [`evaluate_planted`], which compares the planted run with its
-//! baseline's [`baseline_stalls`] (the same host seed without the
-//! planted event) to derive counterfactual ground truth, then scores
-//! both ledgers on top-offender precision and per-edge charge error.
-//! This is the blame ground-truth differential suite.
-
-use tmo::prelude::*;
+//! [`evaluate_planted`], which compares the planted run's outcome with
+//! its baseline's (the same host seed without the planted event) to
+//! derive counterfactual ground truth, then scores both ledgers on
+//! top-offender precision and per-edge charge error. This is the blame
+//! ground-truth differential suite.
 
 use crate::blame::BlameLedger;
-use crate::run::{run_scenario, ScenarioRunConfig};
+use crate::run::ScenarioOutcome;
 use crate::scenario::Scenario;
 use tmo_sim::SimDuration;
 
@@ -166,27 +165,18 @@ fn cross_edge_error(ledger: &BlameLedger, offender: usize, gt_extra: &[f64]) -> 
     err
 }
 
-/// Per-container stall seconds of `baseline` run on `host`: the
-/// counterfactual side of [`evaluate_planted`]. [`run_scenario`] reads
-/// a scenario's name only as a label, so baselines with the same
-/// events and faults are one run per host, whichever planted case they
-/// came with.
-pub fn baseline_stalls(baseline: &Scenario, cfg: &ScenarioRunConfig, host: Machine) -> Vec<f64> {
-    let (outcome, _) = run_scenario(host, baseline, cfg);
-    outcome.reports.iter().map(|r| r.stall_secs).collect()
-}
-
-/// Runs the planted scenario on `host`, derives the counterfactual
-/// ground truth — the extra stall each victim suffered *because* the
-/// planted event ran, against `baseline`, the [`baseline_stalls`] of
-/// an identically-seeded host — and scores both ledgers.
+/// Scores both ledgers of `with`, the planted scenario's outcome on one
+/// host, against the counterfactual ground truth: the extra stall each
+/// victim suffered *because* the planted event ran, over `baseline`,
+/// the outcome of [`PlantedScenario::baseline`] on an
+/// identically-seeded host. [`run_scenario`](crate::run_scenario) reads
+/// a scenario's name only as a label, so planted cases with the same
+/// baseline events and faults can share one baseline run per host.
 pub fn evaluate_planted(
     planted: &PlantedScenario,
-    cfg: &ScenarioRunConfig,
-    host: Machine,
-    baseline: &[f64],
+    with: &ScenarioOutcome,
+    baseline: &ScenarioOutcome,
 ) -> GroundTruthRow {
-    let (with, _) = run_scenario(host, &planted.scenario, cfg);
     let n = with.reports.len();
     let gt_extra: Vec<f64> = (0..n)
         .map(|v| {
@@ -195,7 +185,7 @@ pub fn evaluate_planted(
                 // definition; ground truth has no cross edge for it.
                 0.0
             } else {
-                (with.reports[v].stall_secs - baseline[v]).max(0.0)
+                (with.reports[v].stall_secs - baseline.reports[v].stall_secs).max(0.0)
             }
         })
         .collect();

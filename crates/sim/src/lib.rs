@@ -14,8 +14,8 @@
 //! * [`series`] — lightweight metric recording ([`Series`], [`Recorder`])
 //!   used by every experiment to capture the per-tick signals that the
 //!   paper's figures plot.
-//! * [`stats`] — constant-space streaming statistics ([`P2Quantile`],
-//!   [`Welford`]) for run-level percentiles and moments.
+//! * [`stats`] — constant-space streaming quantiles ([`P2Quantile`])
+//!   for run-level percentiles.
 //! * [`clock`] — the simulation clock and fixed-step tick loop driver.
 //!
 //! # Example
@@ -40,6 +40,6 @@ pub mod units;
 pub use clock::Clock;
 pub use rng::{derive_host_seed, DetRng};
 pub use series::{Recorder, Sample, Series, SeriesId};
-pub use stats::{P2Quantile, Welford};
+pub use stats::P2Quantile;
 pub use time::{SimDuration, SimTime};
 pub use units::{ByteSize, PageCount};

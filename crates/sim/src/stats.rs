@@ -4,7 +4,6 @@
 //! sample is wasteful. [`P2Quantile`] implements the P² algorithm (Jain
 //! & Chlamtac, 1985): a constant-space estimator that maintains five
 //! markers and adjusts them with piecewise-parabolic interpolation.
-//! [`Welford`] tracks mean/variance in constant space.
 
 /// Streaming quantile estimator (the P² algorithm).
 ///
@@ -158,61 +157,6 @@ impl P2Quantile {
     }
 }
 
-/// Welford's online mean/variance.
-///
-/// # Example
-///
-/// ```
-/// use tmo_sim::stats::Welford;
-///
-/// let mut w = Welford::new();
-/// for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-///     w.observe(x);
-/// }
-/// assert!((w.mean() - 5.0).abs() < 1e-12);
-/// assert!((w.variance() - 4.571428).abs() < 1e-4);
-/// ```
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Welford {
-    count: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl Welford {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Welford::default()
-    }
-
-    /// Feeds one sample.
-    pub fn observe(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sample mean (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Unbiased sample variance (0.0 with fewer than two samples).
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -271,30 +215,5 @@ mod tests {
     #[should_panic(expected = "out of (0, 1)")]
     fn p2_rejects_degenerate_quantile() {
         let _ = P2Quantile::new(1.0);
-    }
-
-    #[test]
-    fn welford_matches_two_pass() {
-        let mut rng = DetRng::seed_from_u64(3);
-        let samples: Vec<f64> = (0..10_000).map(|_| rng.exponential(5.0)).collect();
-        let mut w = Welford::new();
-        for &x in &samples {
-            w.observe(x);
-        }
-        let mean = samples.iter().sum::<f64>() / samples.len() as f64;
-        let var =
-            samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (samples.len() - 1) as f64;
-        assert!((w.mean() - mean).abs() < 1e-9);
-        assert!((w.variance() - var).abs() / var < 1e-9);
-    }
-
-    #[test]
-    fn welford_empty_and_single() {
-        let mut w = Welford::new();
-        assert_eq!(w.mean(), 0.0);
-        assert_eq!(w.variance(), 0.0);
-        w.observe(42.0);
-        assert_eq!(w.mean(), 42.0);
-        assert_eq!(w.variance(), 0.0);
     }
 }

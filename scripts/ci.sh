@@ -21,8 +21,8 @@ cargo test --release -q --offline --test seed_stability
 
 echo "==> scenario stability: full catalog jobs sweep (release)"
 # Every shipped adversarial scenario (tmo-scenarios catalog::all)
-# replayed over a small fleet at jobs ∈ {1,4,8} must
-# produce bit-identical ScenarioOutcomes — SLO reports, blame ledgers,
+# replayed over a small fleet, in one grid pass per worker count, at
+# jobs ∈ {1,4,8} must produce bit-identical ScenarioOutcomes — SLO reports, blame ledgers,
 # and degradation scalars compared field-for-field
 # (tests/scenario_stability.rs).
 cargo test --release -q --offline --test scenario_stability
@@ -32,8 +32,8 @@ echo "==> blame ground truth: causal vs pro-rata differential (release)"
 # (tests/blame_ground_truth.rs): the provenance CausalLedger must name
 # the planted offender on every host, carry strictly less per-edge
 # charge error than the growth-pro-rata heuristic, and stay silent on
-# steady innocent hosts. Release mode: each host runs its event-free
-# baseline once, then every planted case.
+# steady innocent hosts. Release mode: one grid pass runs each host's
+# event-free baseline once and every planted case beside it.
 cargo test --release -q --offline --test blame_ground_truth
 
 echo "==> benchmark package: build and test (release)"
@@ -98,14 +98,18 @@ echo "==> PSI worked example: figure 7 --quick vs golden"
     | diff -u scripts/golden/fig07.txt - \
     || { echo "figure 7 output drifted from scripts/golden/fig07.txt"; exit 1; }
 
-echo "==> chaos smoke: ext_chaos --quick --jobs 4 vs golden"
+echo "==> chaos smoke: ext_chaos --quick --jobs 4 and 1 vs golden"
 # Fault schedules are pure hashes of (seed, host index, tick), so the
 # quick chaos sweep's stdout is byte-stable across runs and worker
 # counts; a diff against the checked-in golden file catches any
-# accidental nondeterminism or schedule drift.
-./target/release/repro --experiment ext_chaos --quick --jobs 4 2>/dev/null \
-    | diff -u scripts/golden/ext_chaos_quick.txt - \
-    || { echo "ext_chaos output drifted from scripts/golden/ext_chaos_quick.txt"; exit 1; }
+# accidental nondeterminism or schedule drift. Every (intensity, host)
+# pair runs in one grid pass, which deals each worker a different mix
+# of cells at each worker count, so both counts must reproduce it.
+for jobs in 4 1; do
+    ./target/release/repro --experiment ext_chaos --quick --jobs "$jobs" 2>/dev/null \
+        | diff -u scripts/golden/ext_chaos_quick.txt - \
+        || { echo "ext_chaos --jobs $jobs output drifted from scripts/golden/ext_chaos_quick.txt"; exit 1; }
+done
 
 echo "==> figure suite: repro --all --jobs 4 vs docs/repro_output.txt"
 # Every paper figure at full scale. Stdout is byte-identical for any
@@ -120,7 +124,9 @@ echo "==> adversarial smoke: ext_adversarial --quick --jobs 4 and 1 vs golden"
 # index, tick), so the quick adversarial sweep — degradation table,
 # blame edges, and the paired A/B verdict — is byte-stable across runs
 # and worker counts. Diffing against the golden pins both the engine's
-# determinism and the SLO/blame scoring pipeline.
+# determinism and the SLO/blame scoring pipeline. Every catalog
+# scenario and the config-B tier run in one grid pass, and the A/B
+# verdict pairs config-B with the catalog's own flash_crowd runs.
 for jobs in 4 1; do
     ./target/release/repro --experiment ext_adversarial --quick --jobs "$jobs" 2>/dev/null \
         | diff -u scripts/golden/ext_adversarial_quick.txt - \
@@ -133,8 +139,9 @@ echo "==> blame-validation smoke: ext_blame_validation --quick --jobs 4 and 1 vs
 # worker counts. The golden pins the measured causal-vs-pro-rata
 # differential (top-offender precision and per-edge charge error);
 # the hard pass/fail thresholds live in tests/blame_ground_truth.rs.
-# The baselines run in one fleet pass shared by every planted case, so
-# both worker counts must reproduce the golden.
+# The event-free baseline and every planted case run in one grid pass,
+# and each host's baseline is shared by all its planted cases, so both
+# worker counts must reproduce the golden.
 for jobs in 4 1; do
     ./target/release/repro --experiment ext_blame_validation --quick --jobs "$jobs" 2>/dev/null \
         | diff -u scripts/golden/ext_blame_validation_quick.txt - \
