@@ -7,8 +7,8 @@
 //! or less-compressible pages". [`TieredBackend`] implements that
 //! hierarchy:
 //!
-//! * pages whose data compresses poorly (below `min_compress_ratio`) go
-//!   straight to the SSD tier — compressing them would waste pool DRAM;
+//! * pages whose data compresses poorly (below 2×) go straight to the
+//!   SSD tier — compressing them would waste pool DRAM;
 //! * everything else lands in the zswap tier first;
 //! * zswap-resident pages not reloaded within `demote_after` are
 //!   *demoted* to the SSD tier in the background, freeing pool DRAM for
@@ -22,6 +22,11 @@ use tmo_sim::{ByteSize, DetRng, SimDuration};
 use crate::ssd::SsdDevice;
 use crate::traits::{BackendKind, BackendStats, DeviceFault, IoKind, OffloadBackend, StoreOutcome};
 use crate::zswap::ZswapPool;
+
+/// Compression ratio below which pages bypass the warm tier: below it a
+/// page frees less than half its DRAM in the pool, and the SSD, which
+/// frees all of it, is the better home.
+const MIN_COMPRESS_RATIO: f64 = 2.0;
 
 /// Which tier currently holds a page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,7 +56,7 @@ struct Entry {
 ///
 /// let warm = ZswapPool::new(ByteSize::from_mib(16), ZswapAllocator::Zsmalloc);
 /// let cold = catalog::fleet_device(catalog::SsdModel::C);
-/// let mut tiered = TieredBackend::new(warm, cold, SimDuration::from_secs(60), 1.5);
+/// let mut tiered = TieredBackend::new(warm, cold, SimDuration::from_secs(60));
 /// let mut rng = DetRng::seed_from_u64(1);
 ///
 /// // Compressible page → warm tier (small stored size).
@@ -66,7 +71,6 @@ pub struct TieredBackend {
     warm: ZswapPool,
     cold: SsdDevice,
     demote_after: SimDuration,
-    min_compress_ratio: f64,
     entries: BTreeMap<u64, Entry>,
     next_token: u64,
     clock: SimDuration,
@@ -80,29 +84,19 @@ pub struct TieredBackend {
 impl TieredBackend {
     /// Creates the hierarchy.
     ///
-    /// Pages with a compression ratio below `min_compress_ratio` bypass
-    /// the warm tier; warm pages idle for `demote_after` are demoted on
-    /// the next [`OffloadBackend::tick`].
+    /// Pages with a compression ratio below 2 bypass the warm tier;
+    /// warm pages idle for `demote_after` are demoted on the next
+    /// [`OffloadBackend::tick`].
     ///
     /// # Panics
     ///
-    /// Panics if `demote_after` is zero or `min_compress_ratio < 1`.
-    pub fn new(
-        warm: ZswapPool,
-        cold: SsdDevice,
-        demote_after: SimDuration,
-        min_compress_ratio: f64,
-    ) -> Self {
+    /// Panics if `demote_after` is zero.
+    pub fn new(warm: ZswapPool, cold: SsdDevice, demote_after: SimDuration) -> Self {
         assert!(!demote_after.is_zero(), "demotion age must be non-zero");
-        assert!(
-            min_compress_ratio >= 1.0,
-            "minimum compression ratio below 1: {min_compress_ratio}"
-        );
         TieredBackend {
             warm,
             cold,
             demote_after,
-            min_compress_ratio,
             entries: BTreeMap::new(),
             next_token: 0,
             clock: SimDuration::ZERO,
@@ -186,7 +180,7 @@ impl OffloadBackend for TieredBackend {
         compress_ratio: f64,
         rng: &mut DetRng,
     ) -> Option<StoreOutcome> {
-        let (tier, out) = if compress_ratio >= self.min_compress_ratio {
+        let (tier, out) = if compress_ratio >= MIN_COMPRESS_RATIO {
             if self.warm.is_dead() {
                 // Warm tier died: fail over to the SSD (§5.2 hierarchy
                 // degrades zswap → SSD → no-offload). Only a store the
@@ -333,7 +327,6 @@ mod tests {
             ZswapPool::new(ByteSize::from_kib(pool_kib), ZswapAllocator::Zsmalloc),
             fleet_device(SsdModel::C),
             SimDuration::from_secs(demote_secs),
-            1.5,
         )
     }
 
@@ -459,7 +452,6 @@ mod tests {
             ZswapPool::new(PAGE, ZswapAllocator::Zsmalloc),
             fleet_device(SsdModel::C),
             SimDuration::ZERO,
-            1.5,
         );
     }
 }

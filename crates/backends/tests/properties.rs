@@ -40,7 +40,6 @@ fn backends() -> Vec<Box<dyn OffloadBackend>> {
             ZswapPool::new(ByteSize::from_mib(1), ZswapAllocator::Zsmalloc),
             catalog::fleet_device(SsdModel::C),
             SimDuration::from_secs(5),
-            2.0,
         )),
     ]
 }

@@ -24,6 +24,11 @@ impl std::fmt::Display for ContainerId {
     }
 }
 
+/// Fraction of the anonymous budget allocated up front when
+/// [`ContainerConfig::anon_growth`] is set; the rest arrives at that
+/// rate.
+pub(crate) const ANON_PRELOAD_FRACTION: f64 = 0.1;
+
 /// Optional behaviours layered on a profile when adding a container.
 #[derive(Debug, Clone, Default)]
 pub struct ContainerConfig {
@@ -31,11 +36,9 @@ pub struct ContainerConfig {
     pub web: Option<tmo_workload::WebServerConfig>,
     /// Lazily grow anonymous memory at this rate after start (the Web
     /// memory profile of §4.2: file cache loads up front, anon arrives
-    /// with traffic). Growth stops at the profile's anon budget.
+    /// with traffic). Growth stops at the profile's anon budget; the
+    /// first tenth of it is allocated up front.
     pub anon_growth: Option<ByteSize>,
-    /// Fraction of the anonymous budget allocated up front when growth
-    /// is enabled (the rest arrives at `anon_growth` per second).
-    pub anon_preload_fraction: f64,
     /// Mark as strict-SLA (protected from proactive reclaim).
     pub protected: bool,
     /// `memory.low` kernel protection for the container's cgroup.

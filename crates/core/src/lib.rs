@@ -74,7 +74,7 @@ pub mod prelude {
     pub use tmo_gswap::GswapConfig;
     pub use tmo_mm::{CgroupId, ProvenanceCharge, ReclaimPolicy, ReclaimPriority};
     pub use tmo_psi::Resource;
-    pub use tmo_senpai::{OomdConfig, PolicyMap, SenpaiConfig};
+    pub use tmo_senpai::{OomdConfig, SenpaiConfig};
     pub use tmo_sim::{ByteSize, SimDuration, SimTime};
     pub use tmo_workload::{apps, tax, AppProfile, WebServerConfig};
 }

@@ -11,10 +11,11 @@ use tmo_mm::{
 use tmo_psi::{PsiGroup, Resource, SpanBatch};
 use tmo_senpai::{ContainerSignal, OomdSignal};
 use tmo_sim::{ByteSize, Clock, DetRng, Recorder, SeriesId, SimDuration, SimTime};
-use tmo_workload::{AccessPlanner, AppProfile, WebServerModel};
+use tmo_workload::{AccessPlanner, AppProfile, WebServerModel, PAGES_PER_REQUEST};
 
 use crate::container::{
     Container, ContainerConfig, ContainerId, ContainerSeriesIds, EventSeriesIds, TickStats,
+    ANON_PRELOAD_FRACTION,
 };
 use crate::modulate::WorkloadModulator;
 
@@ -25,9 +26,6 @@ pub enum SwapKind {
     None,
     /// A fleet SSD model (Figure 5) with its catalog capacity.
     Ssd(SsdModel),
-    /// A fleet SSD model with an explicit swap-partition capacity (for
-    /// swap-exhaustion experiments).
-    SsdCapped(SsdModel, ByteSize),
     /// A zswap compressed-memory pool carved out of DRAM.
     Zswap {
         /// Pool capacity as a fraction of DRAM.
@@ -46,10 +44,11 @@ pub enum SwapKind {
         ssd: SsdModel,
         /// Age after which idle warm pages demote to the SSD.
         demote_after: SimDuration,
-        /// Compression ratio below which pages bypass the warm tier.
-        min_compress_ratio: f64,
     },
 }
+
+/// The filesystem SSD model every host reads its file pages from.
+const FS_SSD: SsdModel = SsdModel::C;
 
 /// Host configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,8 +61,6 @@ pub struct MachineConfig {
     pub cpus: u32,
     /// Swap backend.
     pub swap: SwapKind,
-    /// Filesystem SSD model.
-    pub fs_ssd: SsdModel,
     /// Kernel reclaim policy.
     pub policy: ReclaimPolicy,
     /// Simulation tick.
@@ -87,7 +84,6 @@ impl Default for MachineConfig {
             page_size: ByteSize::from_kib(16),
             cpus: 8,
             swap: SwapKind::None,
-            fs_ssd: SsdModel::C,
             policy: ReclaimPolicy::RefaultBalanced,
             tick: SimDuration::from_millis(100),
             access_cpu: SimDuration::from_micros(20),
@@ -235,11 +231,6 @@ impl Machine {
         let swap: Option<Box<dyn OffloadBackend>> = match &config.swap {
             SwapKind::None => None,
             SwapKind::Ssd(model) => Some(Box::new(tmo_backends::catalog::fleet_device(*model))),
-            SwapKind::SsdCapped(model, capacity) => {
-                let mut spec = model.spec();
-                spec.capacity = *capacity;
-                Some(Box::new(tmo_backends::SsdDevice::new(spec)))
-            }
             SwapKind::Zswap {
                 capacity_fraction,
                 allocator,
@@ -258,7 +249,6 @@ impl Machine {
                 allocator,
                 ssd,
                 demote_after,
-                min_compress_ratio,
             } => {
                 assert!(
                     *zswap_fraction > 0.0 && *zswap_fraction < 1.0,
@@ -268,7 +258,6 @@ impl Machine {
                     ZswapPool::new(config.dram.mul_f64(*zswap_fraction), *allocator),
                     tmo_backends::catalog::fleet_device(*ssd),
                     *demote_after,
-                    *min_compress_ratio,
                 )))
             }
         };
@@ -288,7 +277,7 @@ impl Machine {
                 page_size: config.page_size,
                 total_dram: config.dram,
                 swap,
-                fs_device: tmo_backends::catalog::fleet_device(config.fs_ssd),
+                fs_device: tmo_backends::catalog::fleet_device(FS_SSD),
                 policy: config.policy,
                 seed: seed_rng.fork(1).next_u64(),
             },
@@ -459,23 +448,13 @@ impl Machine {
             .as_u64();
         let planner = AccessPlanner::new(profile.classes.clone(), total_pages);
 
-        let growth_total_anon = if cfg.anon_growth.is_some() {
-            profile.anon_bytes().as_u64() / self.config.page_size.as_u64()
-        } else {
-            0
-        };
-        let preload_anon = if cfg.anon_growth.is_some() {
-            (growth_total_anon as f64 * cfg.anon_preload_fraction.clamp(0.0, 1.0)) as u64
-        } else {
-            0
-        };
-
         // Under lazy growth only the preload share of anon is allocated
         // now.
-        let anon_budget_now = if cfg.anon_growth.is_some() {
-            preload_anon
+        let (growth_total_anon, anon_budget_now) = if cfg.anon_growth.is_some() {
+            let total = profile.anon_bytes().as_u64() / self.config.page_size.as_u64();
+            (total, (total as f64 * ANON_PRELOAD_FRACTION) as u64)
         } else {
-            u64::MAX
+            (0, u64::MAX)
         };
         let (class_pages, anon_allocated) = self
             .alloc_footprint(
@@ -851,7 +830,7 @@ impl Machine {
         stats.cpu_demand = self.config.access_cpu * stats.accesses;
 
         // 3. Web admission feedback. A request touches
-        // `pages_per_request` pages, so its expected fault stall is the
+        // `PAGES_PER_REQUEST` pages, so its expected fault stall is the
         // per-access stall scaled by that count.
         if let Some(web) = self.containers[ci].web.as_mut() {
             let per_access = if stats.accesses > 0 {
@@ -859,8 +838,7 @@ impl Machine {
             } else {
                 0.0
             };
-            let mean_stall =
-                SimDuration::from_secs_f64(per_access * web.config().pages_per_request as f64);
+            let mean_stall = SimDuration::from_secs_f64(per_access * PAGES_PER_REQUEST as f64);
             let headroom = if stats.alloc_failed {
                 0.0
             } else {
@@ -1393,7 +1371,6 @@ mod tests {
             &small_profile(),
             ContainerConfig {
                 anon_growth: Some(ByteSize::from_mib(1)), // 1 MiB/s
-                anon_preload_fraction: 0.1,
                 ..ContainerConfig::default()
             },
         );

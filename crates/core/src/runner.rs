@@ -38,11 +38,11 @@
 //! style sweep — each case on the same seeded hosts — in one pass.
 //!
 //! The grid's flat index is **host-major**, `host × cases + case`.
-//! [`shard_plan`] lifts a small fleet to one fair-share shard per
-//! worker, so a case-major order would hand one worker whole cases,
-//! and with them all the expensive scenarios, while another idles;
-//! host-major puts every case of a host in the same shard, so each
-//! worker gets the same mix of cases.
+//! Shards are contiguous runs of that index, so a case-major order
+//! would give a shard, and the worker that claims it, a stretch of one
+//! case, and with it all of an expensive scenario's cells; host-major
+//! interleaves the cases within every shard, so each shard carries the
+//! same mix of cases.
 //!
 //! # Why shards instead of one task per host
 //!
@@ -95,30 +95,21 @@ use crate::machine::MachineScratch;
 /// shard can steal another instead of idling at the tail.
 pub const OVERSUBSCRIBE: usize = 4;
 
-/// Shards smaller than this are not worth their claim/merge overhead;
-/// [`shard_plan`] lifts the chunk size to this floor (capped at a
-/// worker's fair share, so small fleets still spread across workers).
-pub const MIN_SHARD_HOSTS: usize = 16;
-
 /// Partitions `0..hosts` into contiguous, ascending, equal-size (except
-/// the last) shards for `workers` workers at oversubscription factor
-/// `oversubscribe`.
+/// the last) shards for `workers` workers.
 ///
-/// The chunk size is `ceil(hosts / (workers · oversubscribe))`, lifted
-/// to [`MIN_SHARD_HOSTS`] (but never above a worker's fair share
-/// `ceil(hosts / workers)`, and never below 1). The returned ranges are
-/// an **exact cover** of `0..hosts`: concatenated in order they visit
-/// every host index exactly once — the property the deterministic
-/// merge relies on, pinned by the `shard_chunking` proptests.
-pub fn shard_plan(hosts: usize, workers: usize, oversubscribe: usize) -> Vec<Range<usize>> {
+/// The chunk size is `ceil(hosts / (workers · OVERSUBSCRIBE))`, so a
+/// fleet of at most `workers · OVERSUBSCRIBE` hosts runs one host per
+/// shard and every worker can steal down to the last host. The
+/// returned ranges are an **exact cover** of `0..hosts`: concatenated
+/// in order they visit every host index exactly once — the property
+/// the deterministic merge relies on, pinned by the `shard_chunking`
+/// proptests.
+pub fn shard_plan(hosts: usize, workers: usize) -> Vec<Range<usize>> {
     if hosts == 0 {
         return Vec::new();
     }
-    let workers = workers.max(1);
-    let oversubscribe = oversubscribe.max(1);
-    let slots = workers.saturating_mul(oversubscribe);
-    let fair = hosts.div_ceil(workers);
-    let chunk = hosts.div_ceil(slots).max(MIN_SHARD_HOSTS.min(fair)).max(1);
+    let chunk = hosts.div_ceil(workers.max(1).saturating_mul(OVERSUBSCRIBE));
     let mut shards = Vec::with_capacity(hosts.div_ceil(chunk));
     let mut start = 0;
     while start < hosts {
@@ -425,8 +416,9 @@ impl FleetRunner {
     /// [`FleetRunner::host_seed`]), so each case runs on the same seeded
     /// hosts. A panicking cell fails only itself, and its
     /// [`FleetError::host`] names the host. The flat index is
-    /// host-major, `host × cases + case`, so that [`shard_plan`] deals
-    /// every worker the same mix of cases (see the module docs).
+    /// host-major, `host × cases + case`, so that every shard
+    /// [`shard_plan`] cuts carries the same mix of cases (see the
+    /// module docs).
     pub fn run_grid<C, T, F>(
         &self,
         experiment_seed: u64,
@@ -493,7 +485,7 @@ impl FleetRunner {
     {
         let start = Instant::now(); // lint: allow(wall-clock) stderr-only speedup reporting via FleetStats::summary_line
         let workers = self.jobs.min(hosts).max(1);
-        let shards = shard_plan(hosts, workers, OVERSUBSCRIBE);
+        let shards = shard_plan(hosts, workers);
         let run_host = |index: usize, arena: &mut ShardArena| -> HostOutcome<T> {
             let ctx = HostCtx {
                 index,
@@ -635,7 +627,7 @@ mod tests {
         assert_eq!(results, (0..257).map(|i| i * 3).collect::<Vec<_>>());
         assert_eq!(stats.hosts, 257);
         assert_eq!(stats.jobs, 4);
-        assert_eq!(stats.shards, shard_plan(257, 4, OVERSUBSCRIBE).len());
+        assert_eq!(stats.shards, shard_plan(257, 4).len());
         assert_eq!(stats.shard_hosts.iter().sum::<usize>(), 257);
         assert_eq!(stats.shard_busy.len(), 4);
     }
@@ -672,7 +664,7 @@ mod tests {
             (1000, 3),
             (100_000, 8),
         ] {
-            let shards = shard_plan(hosts, workers, OVERSUBSCRIBE);
+            let shards = shard_plan(hosts, workers);
             let mut expected_start = 0;
             for shard in &shards {
                 assert_eq!(shard.start, expected_start, "{hosts}/{workers}");
@@ -681,22 +673,22 @@ mod tests {
             }
             assert_eq!(expected_start, hosts, "{hosts}/{workers}");
         }
-        assert!(shard_plan(0, 4, OVERSUBSCRIBE).is_empty());
+        assert!(shard_plan(0, 4).is_empty());
     }
 
     #[test]
     fn shard_plan_spreads_small_fleets_across_workers() {
-        // 8 hosts / 4 workers: the MIN_SHARD_HOSTS floor must cap at the
-        // fair share (2), not collapse the fleet into one 8-host shard.
-        let shards = shard_plan(8, 4, OVERSUBSCRIBE);
-        assert!(shards.len() >= 4, "shards: {shards:?}");
+        // 8 hosts / 4 workers: fewer hosts than claim slots, so one
+        // host per shard, not one 8-host shard.
+        let shards = shard_plan(8, 4);
+        assert_eq!(shards.len(), 8, "shards: {shards:?}");
     }
 
     #[test]
     fn shard_plan_amortises_large_fleets() {
         // 100k hosts / 4 workers: chunks of ceil(100k/16) = 6250, i.e.
         // 16 shards — thousands of hosts per claim, not one.
-        let shards = shard_plan(100_000, 4, OVERSUBSCRIBE);
+        let shards = shard_plan(100_000, 4);
         assert_eq!(shards.len(), 16);
         assert!(shards.iter().all(|s| s.len() >= 6_000));
     }
@@ -901,6 +893,18 @@ mod tests {
         for jobs in [4, 8] {
             assert_eq!(seq, FleetRunner::exact(jobs).run_grid(5, &cases, 9, f).0);
         }
+    }
+
+    #[test]
+    fn small_grid_is_cut_into_one_cell_per_claim_slot() {
+        // The ext_blame_validation shape: 16 cells on 2 workers give
+        // 2 · OVERSUBSCRIBE = 8 shards of 2 cells, so a worker that
+        // drew cheap cells steals instead of idling.
+        let (_, stats) =
+            FleetRunner::exact(2)
+                .run_grid(0, &[0usize, 1, 2, 3], 4, |case, host, _| case + host.index);
+        assert_eq!(stats.hosts, 16);
+        assert_eq!(stats.shards, 8);
     }
 
     #[test]

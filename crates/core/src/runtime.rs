@@ -3,7 +3,7 @@
 use tmo_gswap::{GswapConfig, GswapController};
 use tmo_sim::{ByteSize, SimDuration};
 
-use tmo_senpai::{OomdConfig, OomdMonitor, PolicyMap, ReclaimDecision, Senpai, SenpaiConfig};
+use tmo_senpai::{OomdConfig, OomdMonitor, Senpai, SenpaiConfig};
 
 use crate::container::ContainerId;
 use crate::machine::Machine;
@@ -15,14 +15,6 @@ enum ControllerKind {
     None,
     /// TMO's Senpai with one global config.
     Senpai(Senpai),
-    /// Senpai with per-workload policies (§3.3 future work): one
-    /// controller instance per container, resolved by workload name.
-    SenpaiPerWorkload {
-        /// The policy map controllers are resolved from.
-        policies: PolicyMap,
-        /// Lazily created controllers, indexed like the containers.
-        controllers: Vec<Senpai>,
-    },
     /// The g-swap promotion-rate baseline.
     Gswap(GswapController),
 }
@@ -67,19 +59,6 @@ impl TmoRuntime {
         TmoRuntime {
             machine,
             controller: ControllerKind::Gswap(GswapController::new(config)),
-            oomd: None,
-        }
-    }
-
-    /// Wraps a machine under Senpai with per-workload policies: each
-    /// container gets the config its name resolves to in `policies`.
-    pub fn with_senpai_policies(machine: Machine, policies: PolicyMap) -> Self {
-        TmoRuntime {
-            machine,
-            controller: ControllerKind::SenpaiPerWorkload {
-                policies,
-                controllers: Vec::new(),
-            },
             oomd: None,
         }
     }
@@ -133,20 +112,6 @@ impl TmoRuntime {
                 }
             }
         }
-        // One guarded reclaim step: read the (possibly faulted) signal,
-        // decide with the per-container backoff applied, act, and report
-        // the outcome back so the backoff adapts. A dropped signal read
-        // is a conservative hold-off — no reclaim on missing data.
-        fn reclaim_guarded(machine: &mut Machine, senpai: &mut Senpai, id: ContainerId) {
-            let Some(signal) = machine.senpai_signal_guarded(id) else {
-                return;
-            };
-            let decision: ReclaimDecision = senpai.decide_for(id.as_usize(), &signal);
-            if decision.reclaim > ByteSize::ZERO {
-                let outcome = machine.reclaim(id, decision.reclaim);
-                senpai.note_outcome(id.as_usize(), !outcome.reclaimed().is_zero());
-            }
-        }
         match &mut self.controller {
             ControllerKind::None => {}
             ControllerKind::Senpai(senpai) => {
@@ -155,30 +120,20 @@ impl TmoRuntime {
                         if !self.machine.is_alive(id) {
                             continue;
                         }
-                        reclaim_guarded(&mut self.machine, senpai, id);
-                    }
-                }
-            }
-            ControllerKind::SenpaiPerWorkload {
-                policies,
-                controllers,
-            } => {
-                // Materialise controllers for any newly added containers.
-                while controllers.len() < count {
-                    let name = self
-                        .machine
-                        .container(ContainerId(controllers.len()))
-                        .name()
-                        .to_string();
-                    controllers.push(Senpai::new(policies.config_for(&name).clone()));
-                }
-                for id in (0..count).map(ContainerId) {
-                    if !self.machine.is_alive(id) {
-                        continue;
-                    }
-                    let senpai = &mut controllers[id.as_usize()];
-                    if senpai.due(now) {
-                        reclaim_guarded(&mut self.machine, senpai, id);
+                        // One guarded reclaim step: read the (possibly
+                        // faulted) signal, decide with the per-container
+                        // backoff applied, act, and report the outcome
+                        // back so the backoff adapts. A dropped signal
+                        // read is a conservative hold-off — no reclaim
+                        // on missing data.
+                        let Some(signal) = self.machine.senpai_signal_guarded(id) else {
+                            continue;
+                        };
+                        let decision = senpai.decide_for(id.as_usize(), &signal);
+                        if decision.reclaim > ByteSize::ZERO {
+                            let outcome = self.machine.reclaim(id, decision.reclaim);
+                            senpai.note_outcome(id.as_usize(), !outcome.reclaimed().is_zero());
+                        }
                     }
                 }
             }
@@ -291,41 +246,6 @@ mod tests {
         let mut rt = TmoRuntime::with_senpai(m, SenpaiConfig::accelerated(20.0));
         rt.run(SimDuration::from_mins(2));
         assert_eq!(rt.machine().savings_fraction(ContainerId(0)), 0.0);
-    }
-
-    #[test]
-    fn per_workload_policies_differentiate_containers() {
-        let mut m = Machine::new(MachineConfig {
-            dram: ByteSize::from_mib(512),
-            swap: SwapKind::Zswap {
-                capacity_fraction: 0.3,
-                allocator: ZswapAllocator::Zsmalloc,
-            },
-            seed: 67,
-            ..MachineConfig::default()
-        });
-        // Two identical workloads under different policies.
-        let a = m.add_container(&apps::feed().with_mem_total(ByteSize::from_mib(128)));
-        let mut batch = apps::feed().with_mem_total(ByteSize::from_mib(128));
-        batch.name = "Batch".to_string();
-        let b = m.add_container(&batch);
-        let policies = tmo_senpai::PolicyMap::new(SenpaiConfig::accelerated(20.0)).with_policy(
-            "Batch",
-            SenpaiConfig {
-                psi_threshold: 0.02,
-                io_threshold: 0.10,
-                ..SenpaiConfig::accelerated(40.0)
-            },
-        );
-        let mut rt = TmoRuntime::with_senpai_policies(m, policies);
-        rt.run(SimDuration::from_mins(4));
-        let saved_default = rt.machine().savings_fraction(a);
-        let saved_batch = rt.machine().savings_fraction(b);
-        assert!(
-            saved_batch > saved_default,
-            "batch {saved_batch} should out-save default {saved_default}"
-        );
-        assert!(saved_default > 0.02, "default policy idle: {saved_default}");
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! Two contracts underwrite the `--jobs N` bit-identity guarantee:
 //!
 //! 1. [`shard_plan`] is an **exact cover** of `0..hosts` — contiguous,
-//!    ascending, no gaps, no overlaps — for *arbitrary* fleet sizes,
-//!    worker counts, and oversubscription factors. The deterministic
+//!    ascending, no gaps, no overlaps — for *arbitrary* fleet sizes and
+//!    worker counts. The deterministic
 //!    merge concatenates shard results in shard order; any hole or
 //!    overlap would silently drop or duplicate hosts.
 //! 2. The shard-chunked execution path (arenas, work-stealing claim
@@ -13,7 +13,7 @@
 
 use proptest::prelude::*;
 
-use tmo::runner::{shard_plan, FleetRunner, MIN_SHARD_HOSTS, OVERSUBSCRIBE};
+use tmo::runner::{shard_plan, FleetRunner, OVERSUBSCRIBE};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
@@ -22,9 +22,8 @@ proptest! {
     fn shard_plan_is_an_exact_cover_of_the_fleet(
         hosts in 0usize..5000,
         workers in 0usize..64,
-        oversubscribe in 0usize..12,
     ) {
-        let shards = shard_plan(hosts, workers, oversubscribe);
+        let shards = shard_plan(hosts, workers);
         if hosts == 0 {
             prop_assert!(shards.is_empty(), "empty fleet must have no shards");
             return Ok(());
@@ -46,33 +45,13 @@ proptest! {
         }
         prop_assert!(shards[shards.len() - 1].len() <= chunk);
         // The plan never produces more shards than claim slots: chunk is
-        // at least ceil(hosts / (workers * oversubscribe)).
-        let slots = workers.max(1).saturating_mul(oversubscribe.max(1));
+        // ceil(hosts / (workers * OVERSUBSCRIBE)).
+        let slots = workers.max(1) * OVERSUBSCRIBE;
         prop_assert!(
             shards.len() <= slots,
             "{} shards for {} slots (hosts={}, workers={})",
             shards.len(), slots, hosts, workers
         );
-    }
-
-    #[test]
-    fn shard_plan_respects_the_small_shard_floor(
-        hosts in 1usize..5000,
-        workers in 1usize..64,
-    ) {
-        let shards = shard_plan(hosts, workers, OVERSUBSCRIBE);
-        let fair = hosts.div_ceil(workers);
-        let floor = MIN_SHARD_HOSTS.min(fair).max(1);
-        // Every shard but the tail carries at least the floor, so tiny
-        // shards never dominate claim/merge overhead — but small fleets
-        // still split down to a worker's fair share.
-        for shard in &shards[..shards.len() - 1] {
-            prop_assert!(
-                shard.len() >= floor,
-                "shard {:?} below floor {} (hosts={}, workers={})",
-                shard, floor, hosts, workers
-            );
-        }
     }
 }
 

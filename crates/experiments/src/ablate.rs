@@ -102,7 +102,6 @@ pub fn reclaim_knob(stateless: bool, scale: Scale) -> KnobResult {
         &profile,
         ContainerConfig {
             anon_growth: Some(growth),
-            anon_preload_fraction: 0.1,
             ..ContainerConfig::default()
         },
     );
@@ -156,10 +155,7 @@ pub fn io_psi_gate(gated: bool, scale: Scale) -> IoGateResult {
     machine.add_container_with(
         &apps::web().with_mem_total(dram.mul_f64(0.6)),
         ContainerConfig {
-            web: Some(WebServerConfig {
-                max_rps: 2500.0,
-                ..WebServerConfig::default()
-            }),
+            web: Some(WebServerConfig { max_rps: 2500.0 }),
             ..ContainerConfig::default()
         },
     );

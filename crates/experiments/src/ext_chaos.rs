@@ -107,7 +107,6 @@ pub fn run_host(
             allocator: ZswapAllocator::Zsmalloc,
             ssd: SsdModel::C,
             demote_after: SimDuration::from_secs(30),
-            min_compress_ratio: 2.0,
         },
         1 => SwapKind::Zswap {
             capacity_fraction: 0.25,

@@ -41,10 +41,7 @@ pub fn run_point(psi_threshold: f64, scale: Scale) -> SweepPoint {
     let id = machine.add_container_with(
         &apps::web().with_mem_total(dram.mul_f64(0.6)),
         ContainerConfig {
-            web: Some(WebServerConfig {
-                max_rps,
-                ..WebServerConfig::default()
-            }),
+            web: Some(WebServerConfig { max_rps }),
             ..ContainerConfig::default()
         },
     );

@@ -81,7 +81,6 @@ pub fn simulate(runner: &tmo::runner::FleetRunner, scale: Scale) -> Vec<TieredRe
                 allocator: ZswapAllocator::Zsmalloc,
                 ssd: SsdModel::C,
                 demote_after: SimDuration::from_secs(30),
-                min_compress_ratio: 2.0,
             },
         ),
     ];
@@ -184,7 +183,6 @@ mod tests {
                 allocator: ZswapAllocator::Zsmalloc,
                 ssd: SsdModel::C,
                 demote_after: SimDuration::from_secs(60),
-                min_compress_ratio: 2.0,
             },
             seed: 127,
             ..MachineConfig::default()

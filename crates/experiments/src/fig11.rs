@@ -51,7 +51,6 @@ pub fn run_phase(label: &str, swap: SwapKind, senpai: bool, scale: Scale) -> Pha
         ContainerConfig {
             web: Some(WebServerConfig::default()),
             anon_growth: Some(growth_per_sec),
-            anon_preload_fraction: 0.1,
             ..ContainerConfig::default()
         },
     );

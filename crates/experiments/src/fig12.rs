@@ -51,10 +51,7 @@ pub fn run_tier(label: &str, model: SsdModel, gswap: bool, scale: Scale) -> Tier
     machine.add_container_with(
         &profile,
         ContainerConfig {
-            web: Some(WebServerConfig {
-                max_rps: 1250.0,
-                ..WebServerConfig::default()
-            }),
+            web: Some(WebServerConfig { max_rps: 1250.0 }),
             ..ContainerConfig::default()
         },
     );
@@ -119,10 +116,7 @@ pub fn calibrate_gswap(scale: Scale) -> GswapConfig {
             machine.add_container_with(
                 &apps::web().with_mem_total(dram.mul_f64(0.75)),
                 ContainerConfig {
-                    web: Some(WebServerConfig {
-                        max_rps: 1250.0,
-                        ..WebServerConfig::default()
-                    }),
+                    web: Some(WebServerConfig { max_rps: 1250.0 }),
                     ..ContainerConfig::default()
                 },
             );

@@ -50,10 +50,7 @@ pub fn run_tier(label: &str, config: Option<SenpaiConfig>, scale: Scale) -> Conf
     machine.add_container_with(
         &profile,
         ContainerConfig {
-            web: Some(WebServerConfig {
-                max_rps: 2500.0,
-                ..WebServerConfig::default()
-            }),
+            web: Some(WebServerConfig { max_rps: 2500.0 }),
             ..ContainerConfig::default()
         },
     );

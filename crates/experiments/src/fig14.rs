@@ -56,7 +56,6 @@ fn unregulated(scale: Scale) -> SenpaiConfig {
         max_step_fraction: 0.20,
         interval: SimDuration::from_secs(3),
         write_limit_mbps: None,
-        ..SenpaiConfig::accelerated(scale.speedup())
     }
 }
 

@@ -6,14 +6,17 @@ use tmo_sim::{ByteSize, DetRng, SimDuration};
 use crate::config::FaultConfig;
 use crate::plan::{salt, FaultPlan};
 
+/// Latency multiplier while a spike window is open.
+const SPIKE_FACTOR: f64 = 10.0;
+
 /// Wraps an [`OffloadBackend`] and injects faults on a deterministic
 /// schedule.
 ///
 /// Three fault classes, in increasing severity:
 ///
 /// * **Latency spikes** — tick-scheduled windows during which every
-///   access is multiplied by `spike_factor` (device congestion,
-///   firmware GC pauses).
+///   access is multiplied by ten (device congestion, firmware GC
+///   pauses).
 /// * **Transient I/O errors** — per-operation; each is resolved by a
 ///   bounded retry with exponential backoff, so the caller only pays
 ///   latency (counted in `io_errors` / `retries`), never loses data.
@@ -64,7 +67,7 @@ impl FaultyBackend {
         self.ops += 1;
         let mut secs = base.as_secs_f64();
         if self.ticks < self.spike_until {
-            secs *= self.config.spike_factor;
+            secs *= SPIKE_FACTOR;
         }
         let p = self.config.per_op(self.config.transient_io_rate);
         if self.plan.chance(op, salt::TRANSIENT_IO, p) {

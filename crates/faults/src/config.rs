@@ -24,10 +24,9 @@ pub struct FaultConfig {
     /// Master dial in `[0, 1]`; every rate below is multiplied by it.
     pub intensity: f64,
     /// Latency-spike windows starting per minute (device congestion,
-    /// firmware GC pauses).
+    /// firmware GC pauses); each multiplies access latency tenfold
+    /// while open.
     pub spike_per_min: f64,
-    /// Latency multiplier while a spike window is open.
-    pub spike_factor: f64,
     /// Per-I/O probability of a transient error, resolved by bounded
     /// retry with exponential backoff (latency cost, never data loss).
     pub transient_io_rate: f64,
@@ -56,7 +55,6 @@ impl FaultConfig {
         FaultConfig {
             intensity: 0.0,
             spike_per_min: 0.0,
-            spike_factor: 1.0,
             transient_io_rate: 0.0,
             device_death_per_min: 0.0,
             wear_out_per_min: 0.0,
@@ -87,7 +85,6 @@ impl FaultConfig {
         FaultConfig {
             intensity,
             spike_per_min: 1.0,
-            spike_factor: 10.0,
             transient_io_rate: 0.0005,
             device_death_per_min: 0.12,
             wear_out_per_min: 0.05,

@@ -43,16 +43,17 @@ pub struct GswapConfig {
     /// Fraction of `current_mem` reclaimed per period while under
     /// target.
     pub reclaim_ratio: f64,
-    /// Control period.
-    pub interval: SimDuration,
 }
+
+/// Control period: Senpai's production period, so the two controllers
+/// act equally often.
+const INTERVAL: SimDuration = SimDuration::from_secs(6);
 
 impl Default for GswapConfig {
     fn default() -> Self {
         GswapConfig {
             target_promotion_rate: 100.0,
             reclaim_ratio: 0.0005,
-            interval: SimDuration::from_secs(6),
         }
     }
 }
@@ -76,8 +77,10 @@ pub struct GswapController {
 impl GswapController {
     /// Creates a controller that first runs one interval after start.
     pub fn new(config: GswapConfig) -> Self {
-        let next_run = SimTime::ZERO + config.interval;
-        GswapController { config, next_run }
+        GswapController {
+            config,
+            next_run: SimTime::ZERO + INTERVAL,
+        }
     }
 
     /// The configuration.
@@ -88,7 +91,7 @@ impl GswapController {
     /// Whether a control period is due; advances the schedule when so.
     pub fn due(&mut self, now: SimTime) -> bool {
         if now >= self.next_run {
-            self.next_run = now + self.config.interval;
+            self.next_run = now + INTERVAL;
             true
         } else {
             false

@@ -73,7 +73,6 @@ impl OfflineProfile {
         crate::GswapConfig {
             target_promotion_rate: self.target_promotion_rate.max(f64::MIN_POSITIVE),
             reclaim_ratio,
-            ..crate::GswapConfig::default()
         }
     }
 }

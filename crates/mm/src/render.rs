@@ -40,10 +40,16 @@ pub fn render_memory_stat(stat: &CgroupStat, page_size: ByteSize) -> String {
     )
 }
 
-/// Parses one `key value` line of a `memory.stat`-style file.
+/// Parses one `key value` line of a `memory.stat`-style file: a
+/// non-empty key, one space, and exactly one unsigned value. Returns
+/// `None` on anything else.
 pub fn parse_stat_line(line: &str) -> Option<(&str, u64)> {
     let (key, value) = line.split_once(' ')?;
-    Some((key, value.trim().parse().ok()?))
+    if key.is_empty() || key.contains(char::is_whitespace) {
+        return None;
+    }
+    // `u64::from_str` takes no whitespace, so a second value fails here.
+    Some((key, value.parse().ok()?))
 }
 
 #[cfg(test)]
@@ -97,5 +103,30 @@ mod tests {
         }
         assert!(parse_stat_line("garbage").is_none());
         assert!(parse_stat_line("key notanumber").is_none());
+    }
+
+    #[test]
+    fn parser_rejects_an_empty_key() {
+        assert!(parse_stat_line(" 5").is_none());
+    }
+
+    #[test]
+    fn parser_rejects_a_key_with_leading_whitespace() {
+        assert!(parse_stat_line("\tanon 5").is_none());
+    }
+
+    #[test]
+    fn parser_rejects_a_missing_value() {
+        assert!(parse_stat_line("anon ").is_none());
+    }
+
+    #[test]
+    fn parser_rejects_a_second_value() {
+        assert!(parse_stat_line("anon 5 6").is_none());
+    }
+
+    #[test]
+    fn parser_rejects_a_negative_value() {
+        assert!(parse_stat_line("anon -5").is_none());
     }
 }

@@ -41,23 +41,41 @@ pub fn render_pressure_file(snap: &PsiSnapshot) -> String {
 
 /// Parses a pressure-file line back into `(avg10, avg60, avg300,
 /// total_us)` ratios; the inverse of [`render_pressure_file`] for one
-/// line. Returns `None` on malformed input.
+/// line. Returns `None` on malformed input: a line that does not start
+/// with `some` or `full`, a key other than the four, a key given twice
+/// or missing, or an average that is not a finite percentage in
+/// `[0, 100]`.
 pub fn parse_pressure_line(line: &str) -> Option<(f64, f64, f64, u64)> {
-    let mut avg10 = None;
-    let mut avg60 = None;
-    let mut avg300 = None;
+    let mut fields = line.split_whitespace();
+    if !matches!(fields.next()?, "some" | "full") {
+        return None;
+    }
+    let mut avgs = [None; 3];
     let mut total = None;
-    for field in line.split_whitespace().skip(1) {
+    for field in fields {
         let (key, value) = field.split_once('=')?;
-        match key {
-            "avg10" => avg10 = value.parse::<f64>().ok().map(|v| v / 100.0),
-            "avg60" => avg60 = value.parse::<f64>().ok().map(|v| v / 100.0),
-            "avg300" => avg300 = value.parse::<f64>().ok().map(|v| v / 100.0),
-            "total" => total = value.parse::<u64>().ok(),
+        let slot = match key {
+            "avg10" => &mut avgs[0],
+            "avg60" => &mut avgs[1],
+            "avg300" => &mut avgs[2],
+            "total" => {
+                if total.replace(value.parse::<u64>().ok()?).is_some() {
+                    return None;
+                }
+                continue;
+            }
             _ => return None,
+        };
+        // The range check also rejects NaN and the infinities.
+        let pct = value
+            .parse::<f64>()
+            .ok()
+            .filter(|v| (0.0..=100.0).contains(v))?;
+        if slot.replace(pct / 100.0).is_some() {
+            return None;
         }
     }
-    Some((avg10?, avg60?, avg300?, total?))
+    Some((avgs[0]?, avgs[1]?, avgs[2]?, total?))
 }
 
 #[cfg(test)]
@@ -93,9 +111,66 @@ mod tests {
     }
 
     #[test]
+    fn parse_accepts_both_prefixes_and_the_full_range() {
+        assert_eq!(
+            parse_pressure_line("full avg10=100.00 avg60=0.00 avg300=50.00 total=7"),
+            Some((1.0, 0.0, 0.5, 7))
+        );
+        assert!(parse_pressure_line("some avg10=0 avg60=0 avg300=0 total=0").is_some());
+    }
+
+    #[test]
     fn parse_rejects_malformed() {
         assert!(parse_pressure_line("garbage").is_none());
+        assert!(parse_pressure_line("").is_none());
         assert!(parse_pressure_line("some avg10=x avg60=0 avg300=0 total=0").is_none());
         assert!(parse_pressure_line("some avg10=1.0 bogus=2").is_none());
+    }
+
+    #[test]
+    fn parse_rejects_an_unknown_prefix() {
+        assert!(parse_pressure_line("foo avg10=0.10 avg60=0.00 avg300=0.00 total=1").is_none());
+    }
+
+    #[test]
+    fn parse_rejects_a_missing_prefix() {
+        assert!(parse_pressure_line("avg10=0.10 avg60=0.00 avg300=0.00 total=1").is_none());
+    }
+
+    #[test]
+    fn parse_rejects_a_duplicate_average() {
+        let line = "some avg10=0.10 avg10=0.20 avg60=0.00 avg300=0.00 total=1";
+        assert!(parse_pressure_line(line).is_none());
+    }
+
+    #[test]
+    fn parse_rejects_a_duplicate_total() {
+        let line = "some avg10=0.10 avg60=0.00 avg300=0.00 total=1 total=2";
+        assert!(parse_pressure_line(line).is_none());
+    }
+
+    #[test]
+    fn parse_rejects_a_missing_key() {
+        assert!(parse_pressure_line("some avg10=0.10 avg60=0.00 total=1").is_none());
+    }
+
+    #[test]
+    fn parse_rejects_a_nan_average() {
+        assert!(parse_pressure_line("some avg10=NaN avg60=0.00 avg300=0.00 total=1").is_none());
+    }
+
+    #[test]
+    fn parse_rejects_an_infinite_average() {
+        assert!(parse_pressure_line("some avg10=0.10 avg60=inf avg300=0.00 total=1").is_none());
+    }
+
+    #[test]
+    fn parse_rejects_a_negative_average() {
+        assert!(parse_pressure_line("some avg10=0.10 avg60=0.00 avg300=-1 total=1").is_none());
+    }
+
+    #[test]
+    fn parse_rejects_an_average_above_100() {
+        assert!(parse_pressure_line("some avg10=100.01 avg60=0.00 avg300=0.00 total=1").is_none());
     }
 }

@@ -27,6 +27,13 @@
 //! * respects container priorities (tax first, strict-SLA containers
 //!   protected).
 //!
+//! Like production, which ships "a single globally optimal Senpai
+//! configuration", one [`SenpaiConfig`] drives every container of a
+//! host. Per-container tolerance comes from the signal instead:
+//! [`ContainerSignal::protected`] containers are never reclaimed, and
+//! [`ContainerSignal::relaxed`] ones (memory tax) run at four times
+//! both pressure thresholds.
+//!
 //! # Example
 //!
 //! ```
@@ -46,9 +53,7 @@
 pub mod config;
 pub mod controller;
 pub mod oomd;
-pub mod policy;
 
 pub use config::SenpaiConfig;
 pub use controller::{ContainerSignal, Limiter, ReclaimDecision, Senpai};
 pub use oomd::{KillDecision, OomdConfig, OomdMonitor, OomdSignal};
-pub use policy::PolicyMap;

@@ -40,4 +40,4 @@ pub mod webserver;
 
 pub use profile::AppProfile;
 pub use temperature::{AccessPlanner, TemperatureClass};
-pub use webserver::{DiurnalPattern, WebServerConfig, WebServerModel};
+pub use webserver::{DiurnalPattern, WebServerConfig, WebServerModel, PAGES_PER_REQUEST};

@@ -10,38 +10,35 @@
 
 use tmo_sim::SimDuration;
 
+/// Per-request service time excluding fault stalls.
+const BASE_LATENCY: SimDuration = SimDuration::from_millis(60);
+/// Tail-latency target the server throttles to.
+const TARGET_LATENCY: SimDuration = SimDuration::from_millis(70);
+const _: () = assert!(
+    TARGET_LATENCY.as_nanos() > BASE_LATENCY.as_nanos(),
+    "target latency must exceed base service time"
+);
+/// Pages touched per request: the factor that turns the host's mean
+/// per-access fault stall into a per-request stall.
+pub const PAGES_PER_REQUEST: u32 = 64;
+/// Multiplier mapping mean per-request stall to estimated tail stall
+/// (burstiness).
+const TAIL_FACTOR: f64 = 6.0;
+/// Free-memory fraction below which the server throttles to avoid OOM.
+const MEMORY_WATERMARK: f64 = 0.04;
+/// Additive increase per tick as a fraction of `max_rps`.
+const RAMP_FRACTION: f64 = 0.02;
+
 /// Static parameters of the Web serving model.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WebServerConfig {
     /// Peak RPS the host can serve when unconstrained.
     pub max_rps: f64,
-    /// Per-request service time excluding fault stalls.
-    pub base_latency: SimDuration,
-    /// Tail-latency target the server throttles to.
-    pub target_latency: SimDuration,
-    /// Pages touched per request.
-    pub pages_per_request: u32,
-    /// Multiplier mapping mean per-request stall to estimated tail
-    /// stall (burstiness).
-    pub tail_factor: f64,
-    /// Free-memory fraction below which the server throttles to avoid
-    /// OOM.
-    pub memory_watermark: f64,
-    /// Additive increase per tick as a fraction of `max_rps`.
-    pub ramp_fraction: f64,
 }
 
 impl Default for WebServerConfig {
     fn default() -> Self {
-        WebServerConfig {
-            max_rps: 700.0,
-            base_latency: SimDuration::from_millis(60),
-            target_latency: SimDuration::from_millis(70),
-            pages_per_request: 64,
-            tail_factor: 6.0,
-            memory_watermark: 0.04,
-            ramp_fraction: 0.02,
-        }
+        WebServerConfig { max_rps: 700.0 }
     }
 }
 
@@ -142,14 +139,9 @@ impl WebServerModel {
     ///
     /// # Panics
     ///
-    /// Panics if the config's `max_rps` is not positive or the latency
-    /// target is below the base latency.
+    /// Panics if the config's `max_rps` is not positive.
     pub fn new(config: WebServerConfig) -> Self {
         assert!(config.max_rps > 0.0, "max_rps must be positive");
-        assert!(
-            config.target_latency > config.base_latency,
-            "target latency must exceed base service time"
-        );
         WebServerModel {
             rps: config.max_rps / 2.0,
             config,
@@ -172,30 +164,29 @@ impl WebServerModel {
     }
 
     /// Estimated tail latency for a given mean per-request fault stall.
-    pub fn estimated_tail(&self, mean_request_stall: SimDuration) -> SimDuration {
-        self.config.base_latency + mean_request_stall.mul_f64(self.config.tail_factor)
+    fn estimated_tail(mean_request_stall: SimDuration) -> SimDuration {
+        BASE_LATENCY + mean_request_stall.mul_f64(TAIL_FACTOR)
     }
 
     /// Feeds back one tick's observation: the mean fault stall added to
     /// each request, and the host's free-memory fraction. Adjusts the
     /// admitted RPS (AIMD on latency, proportional throttle on memory).
     pub fn observe(&mut self, mean_request_stall: SimDuration, free_fraction: f64) {
-        let tail = self.estimated_tail(mean_request_stall);
-        if tail > self.config.target_latency {
+        let tail = Self::estimated_tail(mean_request_stall);
+        if tail > TARGET_LATENCY {
             // Multiplicative decrease, harder the further over target.
-            let over = tail.as_secs_f64() / self.config.target_latency.as_secs_f64();
+            let over = tail.as_secs_f64() / TARGET_LATENCY.as_secs_f64();
             let factor = (1.0 / over).max(0.7);
             self.rps *= factor;
         } else {
-            self.rps += self.config.max_rps * self.config.ramp_fraction;
+            self.rps += self.config.max_rps * RAMP_FRACTION;
         }
         // Memory self-regulation: approaching the limit caps RPS
         // proportionally (the Figure 11 baseline decay).
-        if free_fraction < self.config.memory_watermark {
+        if free_fraction < MEMORY_WATERMARK {
             // The server sheds load but keeps serving: production Web
             // degrades by tens of percent, it does not stop (Fig. 11).
-            let cap = self.config.max_rps
-                * (free_fraction / self.config.memory_watermark).clamp(0.6, 1.0);
+            let cap = self.config.max_rps * (free_fraction / MEMORY_WATERMARK).clamp(0.6, 1.0);
             self.rps = self.rps.min(cap);
         }
         self.rps = self
@@ -227,7 +218,7 @@ mod tests {
         for _ in 0..300 {
             web.observe(SimDuration::ZERO, 0.5);
         }
-        // 30 ms of mean stall → tail estimate 60+90=150ms > 90ms target.
+        // 30 ms of mean stall → tail estimate 60+180=240ms > 70ms target.
         for _ in 0..50 {
             web.observe(SimDuration::from_millis(30), 0.5);
         }
@@ -293,15 +284,5 @@ mod tests {
     #[should_panic(expected = "out of (0, 1]")]
     fn diurnal_rejects_zero_trough() {
         let _ = DiurnalPattern::new(0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "target latency")]
-    fn invalid_latency_config_panics() {
-        let _ = WebServerModel::new(WebServerConfig {
-            base_latency: SimDuration::from_millis(100),
-            target_latency: SimDuration::from_millis(50),
-            ..WebServerConfig::default()
-        });
     }
 }

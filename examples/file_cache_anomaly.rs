@@ -47,7 +47,7 @@ fn run_variant(buggy: bool, senpai: bool) -> (f64, f64, u64) {
         TmoRuntime::with_senpai(
             machine,
             SenpaiConfig {
-                file_only: true,
+                write_limit_mbps: None,
                 ..SenpaiConfig::accelerated(80.0)
             },
         )

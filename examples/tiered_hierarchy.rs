@@ -20,7 +20,6 @@ fn main() {
             allocator: ZswapAllocator::Zsmalloc,
             ssd: SsdModel::E,
             demote_after: SimDuration::from_secs(45),
-            min_compress_ratio: 2.0,
         },
         seed: 9,
         ..MachineConfig::default()

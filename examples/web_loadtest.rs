@@ -30,7 +30,6 @@ fn run_tier(label: &str, swap: SwapKind, senpai: bool) -> (f64, f64, f64) {
         ContainerConfig {
             web: Some(WebServerConfig::default()),
             anon_growth: Some(growth),
-            anon_preload_fraction: 0.1,
             ..ContainerConfig::default()
         },
     );

@@ -148,6 +148,16 @@ for jobs in 4 1; do
         || { echo "ext_blame_validation --jobs $jobs output drifted from scripts/golden/ext_blame_validation_quick.txt"; exit 1; }
 done
 
+echo "==> examples: stdout vs golden"
+# The examples are the library's tutorial surface and call its public
+# API directly; pinning their stdout (built in release, about 0.25 s for
+# all six) keeps them compiling and keeps what they teach current.
+cargo build --release -q --offline --examples
+for example in quickstart psi_monitor tiered_hierarchy fleet_savings web_loadtest file_cache_anomaly; do
+    "./target/release/examples/$example" 2>/dev/null
+done | diff -u scripts/golden/examples.txt - \
+    || { echo "example output drifted from scripts/golden/examples.txt"; exit 1; }
+
 echo "==> recorder CSV: fig08 + fig11 --quick --csv vs golden checksums"
 # The CSV export is the recorder's whole observable surface: every
 # series name, sample time and value. fig08 mixes per-tick series with

@@ -48,7 +48,6 @@ fn run_chaos_fleet(
                     allocator: ZswapAllocator::Zsmalloc,
                     ssd: SsdModel::C,
                     demote_after: SimDuration::from_secs(20),
-                    min_compress_ratio: 2.0,
                 }
             } else {
                 SwapKind::Ssd(SsdModel::C)

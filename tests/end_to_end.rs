@@ -72,7 +72,7 @@ fn file_only_mode_never_touches_swap() {
     let mut rt = TmoRuntime::with_senpai(
         machine,
         SenpaiConfig {
-            file_only: true,
+            write_limit_mbps: None,
             ..SenpaiConfig::accelerated(40.0)
         },
     );
@@ -178,14 +178,17 @@ fn pressure_files_render_for_every_container() {
 fn swap_capped_device_reports_exhaustion_to_senpai() {
     let mut machine = Machine::new(MachineConfig {
         dram: ByteSize::from_mib(256),
-        // A swap partition of only 8 MiB.
-        swap: SwapKind::SsdCapped(SsdModel::C, ByteSize::from_mib(8)),
+        // A zswap pool of only 8 MiB.
+        swap: SwapKind::Zswap {
+            capacity_fraction: 1.0 / 32.0,
+            allocator: ZswapAllocator::Zsmalloc,
+        },
         seed: 29,
         ..MachineConfig::default()
     });
     let id = machine
         .add_container(&tmo_workload::apps::analytics().with_mem_total(ByteSize::from_mib(160)));
-    // Ask for far more anon offload than the partition can hold.
+    // Ask for far more anon offload than the pool can hold.
     machine.reclaim(id, ByteSize::from_mib(80));
     machine.run(SimDuration::from_secs(10));
     machine.reclaim(id, ByteSize::from_mib(80));
@@ -194,8 +197,14 @@ fn swap_capped_device_reports_exhaustion_to_senpai() {
         signal.swap_full,
         "swap exhaustion must surface in the signal"
     );
-    let stat = machine.mm().cgroup_stat(machine.container(id).cgroup());
-    assert!(stat.anon_offloaded.to_bytes(machine.config().page_size) <= ByteSize::from_mib(8));
+    let swap = machine.mm().swap().expect("zswap attached");
+    let stored = swap.stats().bytes_stored;
+    assert!(stored > ByteSize::ZERO, "the pool took pages");
+    assert!(
+        stored <= swap.capacity(),
+        "{stored} stored in a {} pool",
+        swap.capacity()
+    );
 }
 
 #[test]
@@ -331,7 +340,6 @@ fn memory_low_shields_a_container_from_its_neighbours() {
         &tmo_workload::apps::feed().with_mem_total(ByteSize::from_mib(80)),
         ContainerConfig {
             anon_growth: Some(ByteSize::from_mib(2)),
-            anon_preload_fraction: 0.1,
             ..ContainerConfig::default()
         },
     );
