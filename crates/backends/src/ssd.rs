@@ -10,6 +10,7 @@
 use tmo_sim::{ByteSize, DetRng, SimDuration};
 
 use crate::queue::CongestionModel;
+use crate::slab::TokenSlab;
 use crate::traits::{BackendKind, BackendStats, DeviceFault, IoKind, OffloadBackend, StoreOutcome};
 
 /// Quantile factor: p99 of a log-normal is `median * exp(2.326 * sigma)`.
@@ -46,13 +47,11 @@ pub struct SsdSpec {
 }
 
 impl SsdSpec {
-    /// The median latency consistent with the configured p99 and sigma.
-    fn median(&self, kind: IoKind) -> SimDuration {
-        let p99 = match kind {
-            IoKind::Read => self.read_p99,
-            IoKind::Write => self.write_p99,
-        };
+    /// The median latency, in seconds, consistent with a p99 of `p99`
+    /// and the spec's sigma, quantised to whole nanoseconds.
+    fn median_secs(&self, p99: SimDuration) -> f64 {
         SimDuration::from_secs_f64(p99.as_secs_f64() / (Z99 * self.latency_sigma).exp())
+            .as_secs_f64()
     }
 }
 
@@ -89,8 +88,11 @@ impl SsdSpec {
 #[derive(Debug, Clone)]
 pub struct SsdDevice {
     spec: SsdSpec,
-    stored: crate::slab::TokenSlab<ByteSize>,
-    next_token: u64,
+    /// Median read and write latencies in seconds, derived from the
+    /// spec once: the spec never changes after construction.
+    read_median: f64,
+    write_median: f64,
+    stored: TokenSlab,
     read_queue: CongestionModel,
     write_queue: CongestionModel,
     stats: BackendStats,
@@ -121,9 +123,10 @@ impl SsdDevice {
         let read_queue = CongestionModel::new(spec.read_iops);
         let write_queue = CongestionModel::new(spec.write_iops);
         SsdDevice {
+            read_median: spec.median_secs(spec.read_p99),
+            write_median: spec.median_secs(spec.write_p99),
             spec,
-            stored: crate::slab::TokenSlab::new(),
-            next_token: 0,
+            stored: TokenSlab::new(),
             read_queue,
             write_queue,
             stats: BackendStats::default(),
@@ -163,14 +166,29 @@ impl SsdDevice {
         (1.0 / (1.0 - u_eff.min(0.99))).min(WA_CAP)
     }
 
-    fn draw_latency(&mut self, kind: IoKind, rng: &mut DetRng) -> SimDuration {
-        let median = self.spec.median(kind).as_secs_f64();
-        let base = rng.log_normal(median, self.spec.latency_sigma);
-        let inflation = match kind {
-            IoKind::Read => self.read_queue.inflation(),
-            IoKind::Write => self.write_queue.inflation(),
+    fn draw_latency(&self, kind: IoKind, rng: &mut DetRng) -> SimDuration {
+        let (median, queue) = match kind {
+            IoKind::Read => (self.read_median, &self.read_queue),
+            IoKind::Write => (self.write_median, &self.write_queue),
         };
-        SimDuration::from_secs_f64(base * inflation)
+        let base = rng.log_normal(median, self.spec.latency_sigma);
+        SimDuration::from_secs_f64(base * queue.inflation())
+    }
+
+    /// Counts one host write of `bytes` against the write queue, the
+    /// statistics, the write-rate window and the endurance budget, and
+    /// returns the write amplification it was charged at.
+    fn account_write(&mut self, bytes: ByteSize) -> f64 {
+        self.write_queue.on_arrival();
+        self.stats.writes += 1;
+        self.stats.bytes_written += bytes;
+        self.write_bytes_this_tick += bytes.as_u64();
+        // WA depends only on bytes_stored, which a write does not change,
+        // so one computation serves both the media accounting and the GC
+        // latency penalty in `access`.
+        let wa = self.write_amplification();
+        self.media_bytes_written += bytes.as_u64() as f64 * wa;
+        wa
     }
 }
 
@@ -192,18 +210,9 @@ impl OffloadBackend for SsdDevice {
                 self.draw_latency(kind, rng)
             }
             IoKind::Write => {
-                self.write_queue.on_arrival();
-                self.stats.writes += 1;
-                self.stats.bytes_written += bytes;
-                self.write_bytes_this_tick += bytes.as_u64();
-                // WA depends only on bytes_stored, which this access does
-                // not change, so one computation serves both the media
-                // accounting and the GC latency penalty below.
-                let wa = self.write_amplification();
-                self.media_bytes_written += bytes.as_u64() as f64 * wa;
-                let base = self.draw_latency(kind, rng);
+                let wa = self.account_write(bytes);
                 // GC competes with host writes: latency grows with WA.
-                base.mul_f64(1.0 + (wa - 1.0) * 0.5)
+                self.draw_latency(kind, rng).mul_f64(1.0 + (wa - 1.0) * 0.5)
             }
         }
     }
@@ -218,17 +227,17 @@ impl OffloadBackend for SsdDevice {
             return None;
         }
         // Page-out is asynchronous write-behind: the write costs device
-        // endurance and bandwidth but does not stall the reclaimer.
-        let _ = self.access(IoKind::Write, page_bytes, rng);
-        let token = self.next_token;
-        self.next_token += 1;
-        self.stored.insert(token, page_bytes);
+        // endurance and bandwidth but does not stall the reclaimer, so
+        // its latency is never computed; the draw it would take is
+        // still consumed, keeping every later draw where it was.
+        self.account_write(page_bytes);
+        rng.skip_log_normal(self.write_median);
+        let token = self.stored.insert(page_bytes);
         self.stats.pages_stored += 1;
         self.stats.bytes_stored += page_bytes;
         Some(StoreOutcome {
             token,
             stored_bytes: page_bytes,
-            store_latency: SimDuration::ZERO,
         })
     }
 
@@ -333,13 +342,75 @@ mod tests {
         let page = ByteSize::from_kib(4);
         let out = ssd.store(page, 4.0, &mut rng).expect("fits");
         assert_eq!(out.stored_bytes, page);
-        assert_eq!(out.store_latency, SimDuration::ZERO);
         assert_eq!(ssd.stats().pages_stored, 1);
         let lat = ssd.load(out.token, &mut rng).expect("present");
         assert!(lat > SimDuration::ZERO);
         assert_eq!(ssd.stats().pages_stored, 0);
         assert_eq!(ssd.stats().bytes_stored, ByteSize::ZERO);
         assert!(ssd.load(out.token, &mut rng).is_none());
+    }
+
+    /// The per-call latency formula the cached medians must reproduce.
+    fn formula_latency(spec: &SsdSpec, p99: SimDuration, inflation: f64, rng: &mut DetRng) -> f64 {
+        let median =
+            SimDuration::from_secs_f64(p99.as_secs_f64() / (Z99 * spec.latency_sigma).exp());
+        rng.log_normal(median.as_secs_f64(), spec.latency_sigma) * inflation
+    }
+
+    #[test]
+    fn latencies_match_the_per_call_formula_bit_for_bit() {
+        let spec = SsdSpec {
+            read_iops: 2_000.0,
+            write_iops: 1_000.0,
+            ..test_spec()
+        };
+        let mut ssd = SsdDevice::new(spec.clone());
+        let mut rng = DetRng::seed_from_u64(14);
+        let page = ByteSize::from_kib(4);
+        // Load both queues and fill the drive so inflation and WA move.
+        for _ in 0..20 {
+            for _ in 0..10 {
+                ssd.store(page, 1.0, &mut rng).expect("fits");
+                ssd.access(IoKind::Read, page, &mut rng);
+            }
+            ssd.tick(SimDuration::from_secs(1));
+        }
+        for _ in 0..100 {
+            let mut expect_rng = rng.clone();
+            let inflation = ssd.read_queue.inflation();
+            let read = ssd.access(IoKind::Read, page, &mut rng);
+            let want = formula_latency(&spec, spec.read_p99, inflation, &mut expect_rng);
+            assert_eq!(read, SimDuration::from_secs_f64(want));
+
+            let inflation = ssd.write_queue.inflation();
+            let wa = ssd.write_amplification();
+            let write = ssd.access(IoKind::Write, page, &mut rng);
+            let want = formula_latency(&spec, spec.write_p99, inflation, &mut expect_rng);
+            assert_eq!(
+                write,
+                SimDuration::from_secs_f64(want).mul_f64(1.0 + (wa - 1.0) * 0.5)
+            );
+            assert_eq!(rng, expect_rng);
+        }
+    }
+
+    #[test]
+    fn store_consumes_the_draws_of_a_write_access() {
+        let mut stored = SsdDevice::new(test_spec());
+        let mut accessed = stored.clone();
+        let mut rng_store = DetRng::seed_from_u64(15);
+        let mut rng_access = rng_store.clone();
+        let page = ByteSize::from_kib(4);
+        for _ in 0..50 {
+            stored.store(page, 1.0, &mut rng_store).expect("fits");
+            accessed.access(IoKind::Write, page, &mut rng_access);
+            assert_eq!(rng_store, rng_access);
+        }
+        // The host-write counters moved alike. (Media bytes differ: the
+        // stores fill the drive, which raises their write amplification.)
+        let (s, a) = (stored.stats(), accessed.stats());
+        assert_eq!((s.writes, s.bytes_written), (a.writes, a.bytes_written));
+        assert_eq!(stored.write_bytes_this_tick, accessed.write_bytes_this_tick);
     }
 
     #[test]

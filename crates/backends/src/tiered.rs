@@ -219,7 +219,6 @@ impl OffloadBackend for TieredBackend {
         Some(StoreOutcome {
             token,
             stored_bytes: out.stored_bytes,
-            store_latency: out.store_latency,
         })
     }
 

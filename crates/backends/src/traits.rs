@@ -39,10 +39,6 @@ pub struct StoreOutcome {
     /// Bytes of backend capacity the page actually consumes (compressed
     /// size for zswap, page size for SSD swap).
     pub stored_bytes: ByteSize,
-    /// Latency the *store path* imposed on the caller. Page-out is
-    /// asynchronous write-behind in the kernel, so this is zero for SSD
-    /// swap; zswap compression happens synchronously in reclaim context.
-    pub store_latency: SimDuration,
 }
 
 /// Cumulative device statistics.
@@ -107,8 +103,15 @@ pub trait OffloadBackend: fmt::Debug + Send {
     fn access(&mut self, kind: IoKind, bytes: ByteSize, rng: &mut DetRng) -> SimDuration;
 
     /// Stores one page of `page_bytes` whose contents compress by
-    /// `compress_ratio` (e.g. 4.0 means 4:1). Returns `None` when the
+    /// `compress_ratio` (e.g. 4.0 means 4:1) and returns a token that
+    /// names it until it is loaded or discarded. Returns `None` when the
     /// backend is out of capacity.
+    ///
+    /// The store counts as a device write (statistics, write rate,
+    /// endurance) but returns no latency: a swap-out is not charged to
+    /// the reclaimer. It still consumes the random draws a write access
+    /// would, so later draws do not depend on whether a write was a
+    /// store or an [`OffloadBackend::access`].
     fn store(
         &mut self,
         page_bytes: ByteSize,
@@ -117,12 +120,14 @@ pub trait OffloadBackend: fmt::Debug + Send {
     ) -> Option<StoreOutcome>;
 
     /// Loads (and removes) a stored page, returning the fault latency
-    /// the requesting task observes. Returns `None` for an unknown
-    /// token.
+    /// the requesting task observes. Returns `None` for a token that
+    /// names no stored page: never issued, already loaded or
+    /// discarded, or lost with the device.
     fn load(&mut self, token: u64, rng: &mut DetRng) -> Option<SimDuration>;
 
     /// Drops a stored page without loading it (e.g. the owner exited).
-    /// Returns whether the token was present.
+    /// Returns whether the token named a stored page; a stale or
+    /// never-issued token returns `false` and changes nothing.
     fn discard(&mut self, token: u64) -> bool;
 
     /// Cumulative statistics.

@@ -10,6 +10,7 @@
 
 use tmo_sim::{ByteSize, DetRng, SimDuration};
 
+use crate::slab::TokenSlab;
 use crate::traits::{BackendKind, BackendStats, DeviceFault, IoKind, OffloadBackend, StoreOutcome};
 
 /// The zswap pool allocator models the paper compared in §5.1.
@@ -94,12 +95,11 @@ pub struct ZswapPool {
     name: String,
     capacity: ByteSize,
     allocator: ZswapAllocator,
-    stored: crate::slab::TokenSlab<ByteSize>,
-    next_token: u64,
+    stored: TokenSlab,
     stats: BackendStats,
     /// Median decompression-side fault latency.
     read_median: SimDuration,
-    /// Median compression-side store latency.
+    /// Median compression-side write latency.
     write_median: SimDuration,
     latency_sigma: f64,
     /// Permanent death: pool contents lost, all stores/loads fail.
@@ -122,8 +122,7 @@ impl ZswapPool {
             name: format!("zswap-{allocator}"),
             capacity,
             allocator,
-            stored: crate::slab::TokenSlab::new(),
-            next_token: 0,
+            stored: TokenSlab::new(),
             stats: BackendStats::default(),
             read_median,
             write_median: SimDuration::from_micros(15),
@@ -180,17 +179,19 @@ impl OffloadBackend for ZswapPool {
         if self.available() < stored_bytes {
             return None;
         }
-        // Compression happens synchronously in reclaim context.
-        let store_latency = self.access(IoKind::Write, stored_bytes, rng);
-        let token = self.next_token;
-        self.next_token += 1;
-        self.stored.insert(token, stored_bytes);
+        // The store counts as a write. Its compression latency is not
+        // charged to the reclaimer, so it is never computed; the draw it
+        // would take is still consumed, keeping every later draw where
+        // it was.
+        self.stats.writes += 1;
+        self.stats.bytes_written += stored_bytes;
+        rng.skip_log_normal(self.write_median.as_secs_f64());
+        let token = self.stored.insert(stored_bytes);
         self.stats.pages_stored += 1;
         self.stats.bytes_stored += stored_bytes;
         Some(StoreOutcome {
             token,
             stored_bytes,
-            store_latency,
         })
     }
 
@@ -287,11 +288,25 @@ mod tests {
         let mut rng = DetRng::seed_from_u64(6);
         let out = pool.store(PAGE, 4.0, &mut rng).expect("fits");
         assert!(out.stored_bytes < PAGE.mul_f64(0.3));
-        assert!(out.store_latency > SimDuration::ZERO);
         assert_eq!(pool.stats().bytes_stored, out.stored_bytes);
         let lat = pool.load(out.token, &mut rng).expect("present");
         assert!(lat > SimDuration::ZERO);
         assert_eq!(pool.stats().bytes_stored, ByteSize::ZERO);
+    }
+
+    #[test]
+    fn store_consumes_the_draws_of_a_write_access() {
+        let mut pool = ZswapPool::new(ByteSize::from_mib(1), ZswapAllocator::Zsmalloc);
+        let mut accessed = pool.clone();
+        let mut rng_store = DetRng::seed_from_u64(10);
+        let mut rng_access = rng_store.clone();
+        for _ in 0..50 {
+            let out = pool.store(PAGE, 3.0, &mut rng_store).expect("fits");
+            accessed.access(IoKind::Write, out.stored_bytes, &mut rng_access);
+            assert_eq!(rng_store, rng_access);
+        }
+        let (s, a) = (pool.stats(), accessed.stats());
+        assert_eq!((s.writes, s.bytes_written), (a.writes, a.bytes_written));
     }
 
     #[test]

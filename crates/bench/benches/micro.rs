@@ -137,6 +137,20 @@ fn backend_latency(c: &mut Criterion) {
         let mut rng = DetRng::seed_from_u64(1);
         b.iter(|| black_box(ssd.access(IoKind::Read, ByteSize::from_kib(4), &mut rng)))
     });
+    group.bench_function("ssd_store_load", |b| {
+        let mut ssd = tmo_backends::catalog::fleet_device(SsdModel::C);
+        let mut rng = DetRng::seed_from_u64(5);
+        // One page swapped out early and never faulted back pins the
+        // oldest token for the whole run, as a cold page does in a host.
+        ssd.store(ByteSize::from_kib(4), 1.0, &mut rng)
+            .expect("capacity");
+        b.iter(|| {
+            let out = ssd
+                .store(ByteSize::from_kib(4), 1.0, &mut rng)
+                .expect("capacity");
+            black_box(ssd.load(out.token, &mut rng))
+        })
+    });
     group.bench_function("zswap_store_load", |b| {
         let mut pool = ZswapPool::new(ByteSize::from_gib(1), ZswapAllocator::Zsmalloc);
         let mut rng = DetRng::seed_from_u64(2);

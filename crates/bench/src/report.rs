@@ -36,7 +36,8 @@ pub struct BenchReport {
 
 /// Benchmarks `BENCH_micro.json` must always contain: the mm hot paths
 /// (page access single and batched, reclaim scan), the PSI update path,
-/// and the zswap store/load path, plus the supporting micro groups.
+/// and the SSD and zswap store/load paths, plus the supporting micro
+/// groups.
 pub const REQUIRED_MICRO: &[(&str, &str)] = &[
     ("psi", "observe_8_tasks"),
     ("psi", "interval_union_64"),
@@ -48,6 +49,7 @@ pub const REQUIRED_MICRO: &[(&str, &str)] = &[
     ("mm", "access_4096_of_262144"),
     ("mm", "reclaim_256_pages"),
     ("backends", "ssd_read_latency_draw"),
+    ("backends", "ssd_store_load"),
     ("backends", "zswap_store_load"),
     ("rng", "zipf_sample_64k"),
     ("rng", "poisson_mean_100"),

@@ -60,23 +60,33 @@ impl FaultyBackend {
         }
     }
 
+    /// Advances the operation counter and rolls the operation's
+    /// transient error, counting it and its retries. Returns the retry
+    /// backoff in access times: zero when the first attempt succeeds.
+    fn next_op(&mut self) -> f64 {
+        let op = self.ops;
+        self.ops += 1;
+        let p = self.config.per_op(self.config.transient_io_rate);
+        if !self.plan.chance(op, salt::TRANSIENT_IO, p) {
+            return 0.0;
+        }
+        // 1–3 retries; attempt i repeats the access after a backoff of
+        // 2^(i-1) access times, i.e. total ≈ base · (2^k+1 − 2).
+        let k = 1 + self.plan.pick(op, salt::RETRIES, 3).unwrap_or(0);
+        self.io_errors += 1;
+        self.retries += k;
+        (1u64 << (k + 1)) as f64 - 2.0
+    }
+
     /// Applies spike amplification and transient-error retry cost to
     /// one operation's base latency, advancing the operation counter.
     fn op_latency(&mut self, base: SimDuration) -> SimDuration {
-        let op = self.ops;
-        self.ops += 1;
+        let backoff = self.next_op();
         let mut secs = base.as_secs_f64();
         if self.ticks < self.spike_until {
             secs *= SPIKE_FACTOR;
         }
-        let p = self.config.per_op(self.config.transient_io_rate);
-        if self.plan.chance(op, salt::TRANSIENT_IO, p) {
-            // 1–3 retries; attempt i repeats the access after a backoff
-            // of 2^(i-1) access times, i.e. total ≈ base · (2^k+1 − 2).
-            let k = 1 + self.plan.pick(op, salt::RETRIES, 3).unwrap_or(0);
-            self.io_errors += 1;
-            self.retries += k;
-            let backoff = (1u64 << (k + 1)) as f64 - 2.0;
+        if backoff > 0.0 {
             secs += base.as_secs_f64() * backoff;
         }
         SimDuration::from_secs_f64(secs)
@@ -104,10 +114,11 @@ impl OffloadBackend for FaultyBackend {
         rng: &mut DetRng,
     ) -> Option<StoreOutcome> {
         let out = self.inner.store(page_bytes, compress_ratio, rng)?;
-        Some(StoreOutcome {
-            store_latency: self.op_latency(out.store_latency),
-            ..out
-        })
+        // A store has no latency to amplify, but it is still an
+        // operation: it takes its turn in the fault schedule and can
+        // fail transiently and retry.
+        self.next_op();
+        Some(out)
     }
 
     fn load(&mut self, token: u64, rng: &mut DetRng) -> Option<SimDuration> {
@@ -195,7 +206,7 @@ mod tests {
             let b = faulty
                 .store(ByteSize::from_kib(4), 3.0, &mut rng_b)
                 .expect("fits");
-            assert_eq!(a.store_latency, b.store_latency);
+            assert_eq!(a, b);
             assert_eq!(
                 plain.load(a.token, &mut rng_a),
                 faulty.load(b.token, &mut rng_b)
@@ -261,7 +272,7 @@ mod tests {
             for _ in 0..300 {
                 faulty.tick(SimDuration::from_secs(6));
                 if let Some(out) = faulty.store(ByteSize::from_kib(4), 2.5, &mut rng) {
-                    trace.push(out.store_latency.as_nanos());
+                    trace.push(faulty.stats().retries);
                     if let Some(lat) = faulty.load(out.token, &mut rng) {
                         trace.push(lat.as_nanos());
                     }

@@ -180,6 +180,19 @@ impl DetRng {
         median * (sigma * self.standard_normal()).exp()
     }
 
+    /// Advances the generator exactly as [`DetRng::log_normal`] with
+    /// this `median` would, without computing the value: for a caller
+    /// that models a draw nobody reads but must leave every later draw
+    /// where it was.
+    pub fn skip_log_normal(&mut self, median: f64) {
+        if median <= 0.0 {
+            return;
+        }
+        // `standard_normal` takes two uniforms, one `next_u64` each.
+        self.next_u64();
+        self.next_u64();
+    }
+
     /// Poisson-distributed count with the given mean.
     ///
     /// Uses Knuth's method for small means and a normal approximation for
@@ -347,6 +360,21 @@ mod tests {
             );
         }
         assert_eq!(rng.poisson(0.0), 0);
+    }
+
+    #[test]
+    fn skip_log_normal_consumes_what_log_normal_draws() {
+        for median in [15e-6, 1.0, 0.0, -3.0] {
+            let mut drawn = DetRng::seed_from_u64(8);
+            let mut skipped = drawn.clone();
+            for _ in 0..3 {
+                drawn.log_normal(median, 0.6);
+                skipped.skip_log_normal(median);
+            }
+            for _ in 0..8 {
+                assert_eq!(drawn.next_u64(), skipped.next_u64(), "median {median}");
+            }
+        }
     }
 
     #[test]

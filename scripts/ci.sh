@@ -57,6 +57,19 @@ for workload in fleet_tiny zswap_steady ssd_write_regulated scenario_catalog; do
 done | diff -u scripts/golden/benchmark_seed1.txt - \
     || { echo "benchmark output drifted from scripts/golden/benchmark_seed1.txt"; exit 1; }
 
+echo "==> benchmark simulated counts: four workloads traced at seed 2 vs golden"
+# With --trace 1 the benchmark also prints every simulated count behind
+# its per-layer metrics (backends.{reads,writes,read_mib,written_mib,
+# stored_mib}, the mm, PSI and controller counts), none of which the
+# untraced run above prints. The golden pins them at a second seed, so
+# a change meant to be speed-only cannot move a count unseen. Traced
+# runs write their spans under bench-out/. About 17 s.
+for workload in fleet_tiny zswap_steady ssd_write_regulated scenario_catalog; do
+    benchmark/target/release/tmo-benchmark \
+        --workload "$workload" --seed 2 --seconds 1 --trace 1 2>/dev/null | sed '$d'
+done | diff -u scripts/golden/benchmark_seed2_trace.txt - \
+    || { echo "traced benchmark output drifted from scripts/golden/benchmark_seed2_trace.txt"; exit 1; }
+
 echo "==> tmo-lint: determinism contract gate"
 # Static determinism analysis (DESIGN.md "Determinism contract"): the
 # per-file rules (hash-ordered iteration, ambient wall-clock/entropy,
