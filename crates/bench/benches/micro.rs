@@ -11,7 +11,7 @@ use tmo_psi::state::{StateTracker, TaskId};
 use tmo_psi::{IntervalSet, PsiGroup, Resource, SpanBatch};
 use tmo_sim::rng::Zipf;
 use tmo_sim::stats::P2Quantile;
-use tmo_sim::{ByteSize, DetRng, SimDuration, SimTime};
+use tmo_sim::{ByteSize, DetRng, Series, SimDuration, SimTime};
 use tmo_workload::{AccessPlanner, TemperatureClass};
 
 fn psi_observe(c: &mut Criterion) {
@@ -215,6 +215,23 @@ fn streaming_stats(c: &mut Criterion) {
     group.finish();
 }
 
+fn series_push(c: &mut Criterion) {
+    let mut group = c.benchmark_group("sim");
+    group.sample_size(10);
+    // One `zswap_steady` per-tick series: 72,000 samples on a 100 ms
+    // stride pushed into a fresh `Series`, which fills 18 value chunks.
+    group.bench_function("series_push_72k", |b| {
+        b.iter(|| {
+            let mut series = Series::new("rps");
+            for i in 0..72_000u64 {
+                series.push(SimTime::from_nanos(i * 100_000_000), i as f64);
+            }
+            black_box(series.last())
+        })
+    });
+    group.finish();
+}
+
 fn planner_plan(c: &mut Criterion) {
     let mut group = c.benchmark_group("workload");
     let planner = AccessPlanner::new(
@@ -329,6 +346,7 @@ criterion_group!(
     psi_observe,
     psi_state_tracker,
     streaming_stats,
+    series_push,
     planner_plan,
     mm_paths,
     backend_latency,

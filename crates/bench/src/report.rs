@@ -43,6 +43,7 @@ pub const REQUIRED_MICRO: &[(&str, &str)] = &[
     ("psi", "interval_union_64"),
     ("psi", "state_tracker_transition"),
     ("stats", "p2_quantile_observe"),
+    ("sim", "series_push_72k"),
     ("workload", "planner_plan"),
     ("mm", "access_resident_page"),
     ("mm", "access_4096_resident"),

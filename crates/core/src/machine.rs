@@ -637,9 +637,9 @@ impl Machine {
                     continue;
                 }
                 if let Err(e) = self.mm.alloc_pages_into(cg, kind, count, now, &mut pages) {
-                    class_pages.push(pages);
-                    let allocated: Vec<PageId> = class_pages.into_iter().flatten().collect();
-                    self.mm.free_pages_of(&allocated);
+                    for allocated in class_pages.iter().chain([&pages]) {
+                        self.mm.free_pages_of(allocated);
+                    }
                     return Err((ci, kind, e));
                 }
             }

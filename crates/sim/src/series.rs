@@ -6,7 +6,7 @@
 //! figures plot, and can export them as CSV.
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 use crate::time::SimTime;
 
@@ -21,10 +21,10 @@ pub struct Sample {
 
 /// A named sequence of samples, stored as columns.
 ///
-/// Values live in one `Vec<f64>`. Times live in a time axis that
-/// costs nothing per sample while every pushed time falls on a fixed
-/// nanosecond stride (the per-tick series), and falls back to one
-/// `u64` per sample on the first push that breaks it (sparse event
+/// Values live in one chunked `Column`. Times live in a time axis
+/// that costs nothing per sample while every pushed time falls on a
+/// fixed nanosecond stride (the per-tick series), and falls back to
+/// one `u64` per sample on the first push that breaks it (sparse event
 /// series). Either way a sample's `time_secs` is rebuilt as
 /// `SimTime::as_secs_f64` of the pushed time, bit for bit.
 ///
@@ -43,7 +43,93 @@ pub struct Sample {
 pub struct Series {
     name: String,
     times: TimeAxis,
-    values: Vec<f64>,
+    values: Column<f64>,
+}
+
+/// Samples per full chunk of a [`Column`]: 32 KiB of `f64`.
+const CHUNK: usize = 4096;
+
+/// An append-only column stored in chunks of [`CHUNK`] elements.
+///
+/// The open chunk, `tail`, grows like a plain `Vec` until it holds
+/// `CHUNK` elements, so a short series allocates exactly what a `Vec`
+/// would. A full tail moves to `full` unchanged, and the next tail is
+/// allocated once with capacity exactly `CHUNK` and never reallocated,
+/// so a long column is never copied and never holds more than one
+/// chunk of unused room. Element `i` lives at `i % CHUNK` of chunk
+/// `i / CHUNK` (the tail when that is `full.len()`), and iteration
+/// walks the chunks in order, so every fold sees the elements in push
+/// order.
+#[derive(Debug, Clone)]
+struct Column<T> {
+    full: Vec<Vec<T>>,
+    tail: Vec<T>,
+}
+
+impl<T> Default for Column<T> {
+    fn default() -> Self {
+        Column {
+            full: Vec::new(),
+            tail: Vec::new(),
+        }
+    }
+}
+
+impl<T: Copy> Column<T> {
+    fn push(&mut self, value: T) {
+        if self.tail.len() == CHUNK {
+            self.retire_tail();
+        }
+        self.tail.push(value);
+    }
+
+    /// Moves the full tail to `full` and opens a tail at its final
+    /// size. Kept out of line so the per-sample path stays small.
+    #[cold]
+    #[inline(never)]
+    fn retire_tail(&mut self) {
+        let tail = std::mem::replace(&mut self.tail, Vec::with_capacity(CHUNK));
+        self.full.push(tail);
+    }
+
+    fn len(&self) -> usize {
+        self.full.len() * CHUNK + self.tail.len()
+    }
+
+    fn get(&self, i: usize) -> T {
+        let (chunk, offset) = (i / CHUNK, i % CHUNK);
+        if chunk == self.full.len() {
+            self.tail[offset]
+        } else {
+            self.full[chunk][offset]
+        }
+    }
+
+    fn last(&self) -> Option<T> {
+        // A tail is only opened by the push that fills it, so it is
+        // empty only while the whole column is.
+        self.tail.last().copied()
+    }
+
+    fn iter(&self) -> impl Iterator<Item = T> + '_ {
+        self.full.iter().flatten().chain(&self.tail).copied()
+    }
+
+    /// The elements copied into one `Vec`.
+    fn to_vec(&self) -> Vec<T> {
+        let mut out = Vec::with_capacity(self.len());
+        for chunk in &self.full {
+            out.extend_from_slice(chunk);
+        }
+        out.extend_from_slice(&self.tail);
+        out
+    }
+
+    /// Elements the column has room for without allocating.
+    #[cfg(test)]
+    fn capacity(&self) -> usize {
+        self.full.iter().map(Vec::capacity).sum::<usize>() + self.tail.capacity()
+    }
 }
 
 /// Sample times of a [`Series`], in integer simulated nanoseconds.
@@ -58,7 +144,7 @@ enum TimeAxis {
     /// than two samples the unused fields are placeholders.
     Stride { start_ns: u64, step_ns: u64 },
     /// One pushed time per sample.
-    Explicit(Vec<u64>),
+    Explicit(Column<u64>),
 }
 
 impl Default for TimeAxis {
@@ -85,6 +171,10 @@ impl Series {
     }
 
     /// Appends a sample at `time`.
+    ///
+    /// Inlined across crates: `Machine::record_tick` pushes to every
+    /// per-tick series once a tick.
+    #[inline]
     pub fn push(&mut self, time: SimTime, value: f64) {
         let ns = time.as_nanos();
         let n = self.values.len() as u64;
@@ -98,7 +188,11 @@ impl Series {
                 _ if expected == Some(ns) => {}
                 _ => {
                     let (start, step) = (*start_ns, *step_ns);
-                    self.times = TimeAxis::Explicit((0..n).map(|i| start + i * step).collect());
+                    let mut times = Column::default();
+                    for i in 0..n {
+                        times.push(start + i * step);
+                    }
+                    self.times = TimeAxis::Explicit(times);
                 }
             }
         }
@@ -112,7 +206,7 @@ impl Series {
     fn time_ns(&self, i: usize) -> u64 {
         match &self.times {
             TimeAxis::Stride { start_ns, step_ns } => start_ns + i as u64 * step_ns,
-            TimeAxis::Explicit(times) => times[i],
+            TimeAxis::Explicit(times) => times.get(i),
         }
     }
 
@@ -120,7 +214,7 @@ impl Series {
     fn sample(&self, i: usize) -> Sample {
         Sample {
             time_secs: SimTime::from_nanos(self.time_ns(i)).as_secs_f64(),
-            value: self.values[i],
+            value: self.values.get(i),
         }
     }
 
@@ -131,7 +225,7 @@ impl Series {
 
     /// Whether the series holds no samples.
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        self.len() == 0
     }
 
     /// All samples in insertion (time) order.
@@ -141,20 +235,20 @@ impl Series {
 
     /// Iterator over the values only.
     pub fn values(&self) -> impl Iterator<Item = f64> + '_ {
-        self.values.iter().copied()
+        self.values.iter()
     }
 
     /// The final value, or `None` when empty.
     pub fn last(&self) -> Option<f64> {
-        self.values.last().copied()
+        self.values.last()
     }
 
     /// Arithmetic mean of the values (0.0 when empty).
     pub fn mean(&self) -> f64 {
-        if self.values.is_empty() {
+        if self.is_empty() {
             return 0.0;
         }
-        self.values().sum::<f64>() / self.values.len() as f64
+        self.values().sum::<f64>() / self.len() as f64
     }
 
     /// Minimum value (0.0 when empty).
@@ -177,10 +271,10 @@ impl Series {
     /// Panics in debug builds if `q` is outside `[0, 1]`.
     pub fn quantile(&self, q: f64) -> f64 {
         debug_assert!((0.0..=1.0).contains(&q), "quantile {q} out of range");
-        if self.values.is_empty() {
+        if self.is_empty() {
             return 0.0;
         }
-        let mut vals = self.values.clone();
+        let mut vals = self.values.to_vec();
         vals.sort_by(|a, b| a.partial_cmp(b).expect("finite values"));
         let idx = ((vals.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
         vals[idx]
@@ -316,12 +410,14 @@ impl Recorder {
         let mut out = String::from("series,time_secs,value\n");
         for s in self.iter() {
             for sample in s.samples() {
-                out.push_str(&format!(
-                    "{},{:.3},{:.6}\n",
+                // Writing to a `String` cannot fail.
+                let _ = writeln!(
+                    out,
+                    "{},{:.3},{:.6}",
                     s.name(),
                     sample.time_secs,
                     sample.value
-                ));
+                );
             }
         }
         out
@@ -432,6 +528,56 @@ mod tests {
         let ordered: Vec<&str> = rec.iter().map(Series::name).collect();
         assert_eq!(ordered, vec!["a.a", "z.b"]);
         assert_eq!(rec.series("z.b").expect("z.b").len(), 2);
+    }
+
+    #[test]
+    fn long_columns_hold_at_most_one_chunk_of_slack() {
+        let mut strided = Series::new("per_tick");
+        let mut explicit = Series::new("event");
+        for i in 0..72_000u64 {
+            strided.push(SimTime::from_nanos(100_000_000 * i), i as f64);
+            // Two pushes per second: a zero step that the third push breaks.
+            explicit.push(t(i / 2), i as f64);
+        }
+        assert!(matches!(strided.times, TimeAxis::Stride { .. }));
+        let TimeAxis::Explicit(times) = &explicit.times else {
+            panic!("repeated times must switch to explicit storage");
+        };
+        for (name, len, capacity) in [
+            (
+                "strided values",
+                strided.values.len(),
+                strided.values.capacity(),
+            ),
+            (
+                "explicit values",
+                explicit.values.len(),
+                explicit.values.capacity(),
+            ),
+            ("explicit times", times.len(), times.capacity()),
+        ] {
+            assert_eq!(len, 72_000, "{name}");
+            assert!(
+                capacity <= len + CHUNK,
+                "{name}: capacity {capacity} for {len}"
+            );
+        }
+    }
+
+    #[test]
+    fn short_columns_allocate_like_a_vec() {
+        let mut s = Series::new("short");
+        let mut v = Vec::new();
+        for i in 0..CHUNK as u64 {
+            s.push(t(i), i as f64);
+            v.push(i as f64);
+            assert_eq!(s.values.capacity(), v.capacity());
+        }
+        assert!(s.values.full.is_empty());
+        s.push(t(CHUNK as u64), 0.0);
+        assert_eq!(s.values.full.len(), 1);
+        assert_eq!(s.values.full[0].capacity(), CHUNK);
+        assert_eq!(s.values.tail.capacity(), CHUNK);
     }
 
     #[test]

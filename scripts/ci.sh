@@ -171,16 +171,24 @@ for example in quickstart psi_monitor tiered_hierarchy fleet_savings web_loadtes
 done | diff -u scripts/golden/examples.txt - \
     || { echo "example output drifted from scripts/golden/examples.txt"; exit 1; }
 
-echo "==> recorder CSV: fig08 + fig11 --quick --csv vs golden checksums"
+echo "==> recorder CSV: fig08 + fig11 --csv at quick and full scale vs golden checksums"
 # The CSV export is the recorder's whole observable surface: every
 # series name, sample time and value. fig08 mixes per-tick series with
 # the sparse Feed.reclaim_mib and swap.read_p90_ms series, so the
-# checksums pin both the strided and the explicit time storage.
-rm -rf target/csv_quick
-./target/release/repro --figure 8 --figure 11 --quick --jobs 4 --csv target/csv_quick >/dev/null 2>&1
-(cd target/csv_quick && sha256sum -- *) | LC_ALL=C sort -k 2 \
-    | diff -u scripts/golden/csv_quick.sha256 - \
-    || { echo "recorder CSV drifted from scripts/golden/csv_quick.sha256"; exit 1; }
+# checksums pin both the strided and the explicit time storage. Quick
+# scale holds 1,200 samples per series, inside one 4,096-sample column
+# chunk; full scale holds 6,000, so its series cross a chunk boundary.
+# Both together take about half a second.
+for scale in quick full; do
+    flag=""
+    [ "$scale" = quick ] && flag="--quick"
+    rm -rf "target/csv_$scale"
+    # shellcheck disable=SC2086 # an empty $flag must vanish
+    ./target/release/repro --figure 8 --figure 11 $flag --jobs 4 --csv "target/csv_$scale" >/dev/null 2>&1
+    (cd "target/csv_$scale" && sha256sum -- *) | LC_ALL=C sort -k 2 \
+        | diff -u "scripts/golden/csv_$scale.sha256" - \
+        || { echo "recorder CSV drifted from scripts/golden/csv_$scale.sha256"; exit 1; }
+done
 
 echo "==> bench smoke: scripts/bench.sh --smoke"
 # Compiles and exercises every benchmark with clamped sample counts and
