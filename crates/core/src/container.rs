@@ -90,6 +90,9 @@ pub struct Container {
     /// Remaining anonymous pages to allocate lazily and the rate.
     pub(crate) growth_remaining_pages: u64,
     pub(crate) growth_pages_per_sec: f64,
+    /// Each temperature class's page fraction, the weights growth
+    /// spreads new pages by; empty when the container never grows.
+    pub(crate) growth_weights: Vec<f64>,
     /// Fractional page carry between ticks for the growth model.
     pub(crate) growth_carry: f64,
     pub(crate) protected: bool,

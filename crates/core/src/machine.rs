@@ -98,17 +98,20 @@ impl Default for MachineConfig {
 type FootprintError = (usize, PageKind, AllocError);
 
 /// Reusable allocation scratch for one [`Machine`]: the hot tick
-/// path's buffers and the memory manager's page slab, free-slot list
-/// and per-cgroup LRU lists.
+/// path's buffers, the memory manager's page slab, free-slot list and
+/// per-cgroup LRU lists, and the metric recorder.
 ///
 /// Every buffer in here is **semantically inert**: each is cleared (or
-/// fully overwritten) before any tick reads it, and the manager's
+/// fully overwritten) before any tick reads it, the manager's
 /// [`MmScratch`] is emptied by the manager itself on adoption and on
-/// retirement, so the only thing a recycled scratch carries from one
-/// machine to the next is heap *capacity*, never values. That property
-/// is what lets the fleet runner hand one scratch from host to host
-/// inside a shard arena without breaking the bit-identical determinism
-/// contract — and it is pinned by the `arena_reuse` invariant tests.
+/// retirement, and the recorder is cleared, so what a recycled scratch
+/// carries from one machine to the next is heap *capacity* plus the
+/// recorder's series names, each with at most one open chunk of
+/// values, and never a sample: a cleared series stays invisible until
+/// the next host resolves its name again. That property is what lets
+/// the fleet runner hand one scratch from host to host inside a shard
+/// arena without breaking the bit-identical determinism contract — and
+/// it is pinned by the `arena_reuse` invariant tests.
 ///
 /// Obtain one from [`Machine::into_scratch`] when a host simulation
 /// finishes, and thread it into the next host via
@@ -132,12 +135,18 @@ pub struct MachineScratch {
     host_batch: SpanBatch,
     /// The memory manager's page slab and LRU capacity.
     mm: MmScratch,
+    /// The metric recorder, cleared: its slots keep their names and
+    /// open chunks so the next host's series revive without allocating.
+    recorder: Recorder,
+    /// Builds `{container}.{suffix}` series names without allocating.
+    series_name: String,
 }
 
 impl MachineScratch {
     /// Clears every buffer, keeping capacity. Values never survive a
-    /// handoff; only the allocations do.
+    /// handoff; only the allocations (and the recorder's names) do.
     fn scrub(&mut self) {
+        self.recorder.clear();
         self.batch_ids.clear();
         self.paced.clear();
         self.plan.clear();
@@ -199,6 +208,21 @@ struct MachineSeriesIds {
     /// `None` when the host has no swap backend (series never exists).
     swap_write_mbps: Option<SeriesId>,
     swap_read_iops: Option<SeriesId>,
+}
+
+/// Resolves the series `{container}.{suffix}`, building the name in
+/// `buf` so a name the recorder already holds costs no allocation.
+fn container_series_id(
+    rec: &mut Recorder,
+    buf: &mut String,
+    container: &str,
+    suffix: &str,
+) -> SeriesId {
+    buf.clear();
+    buf.push_str(container);
+    buf.push('.');
+    buf.push_str(suffix);
+    rec.series_id(buf)
 }
 
 impl Machine {
@@ -283,6 +307,7 @@ impl Machine {
             },
             std::mem::take(&mut scratch.mm),
         );
+        let recorder = std::mem::take(&mut scratch.recorder);
         let clock = Clock::new(config.tick);
         let rng = seed_rng.fork(2);
         let host_faults = faults.map(|fc| HostFaults::new(config.seed, 0, fc));
@@ -292,7 +317,7 @@ impl Machine {
             clock,
             containers: Vec::new(),
             rng,
-            recorder: Recorder::new(),
+            recorder,
             prev_fs_reads: 0,
             prev_swap_reads: 0,
             host_psi: PsiGroup::new(),
@@ -340,11 +365,12 @@ impl Machine {
         self.mm.drain_provenance_charges(out);
     }
 
-    /// Retires the machine, releasing its scratch buffers (scrubbed:
-    /// capacity only, no values) for the next host to adopt via
-    /// [`Machine::with_scratch`].
+    /// Retires the machine, releasing its scratch buffers and recorder
+    /// (scrubbed: capacity and series names only, no values) for the
+    /// next host to adopt via [`Machine::with_scratch`].
     pub fn into_scratch(self) -> MachineScratch {
         let mut scratch = self.scratch;
+        scratch.recorder = self.recorder;
         scratch.scrub();
         scratch.mm = self.mm.into_scratch();
         scratch
@@ -476,6 +502,11 @@ impl Machine {
             .map(|rate| rate.as_u64() as f64 / self.config.page_size.as_u64() as f64)
             .unwrap_or(0.0);
         let initial_resident_pages = self.mm.cgroup_stat(cg).resident().as_u64();
+        let growth_weights = if growth_remaining > 0 {
+            planner.classes().iter().map(|c| c.fraction).collect()
+        } else {
+            Vec::new()
+        };
 
         let id = ContainerId(self.containers.len());
         self.containers.push(Container {
@@ -488,6 +519,7 @@ impl Machine {
             web: cfg.web.map(WebServerModel::new),
             growth_remaining_pages: growth_remaining,
             growth_pages_per_sec,
+            growth_weights,
             growth_carry: 0.0,
             protected: cfg.protected,
             relaxed: cfg.relaxed,
@@ -709,15 +741,10 @@ impl Machine {
             if !self.scratch.paced.is_empty() {
                 self.containers[ci].growth_remaining_pages -= self.scratch.paced.len() as u64;
                 // Distribute new pages across classes by weight.
-                let fractions: Vec<f64> = self.containers[ci]
-                    .planner
-                    .classes()
-                    .iter()
-                    .map(|c| c.fraction)
-                    .collect();
+                let c = &mut self.containers[ci];
                 for page in self.scratch.paced.drain(..) {
-                    let class = self.rng.weighted_index(&fractions).unwrap_or(0);
-                    self.containers[ci].class_pages[class].push(page);
+                    let class = self.rng.weighted_index(&c.growth_weights).unwrap_or(0);
+                    c.class_pages[class].push(page);
                 }
             }
         }
@@ -911,7 +938,7 @@ impl Machine {
     }
 
     /// Resolves (and caches) the recorder handles for one container's
-    /// per-tick series. The name formatting and B-tree lookups happen
+    /// per-tick series. The name building and B-tree lookups happen
     /// once per container per run; every later tick appends through the
     /// cached [`SeriesId`]s. The recorder's name index keeps observable
     /// output sorted by name regardless of resolution order.
@@ -919,22 +946,21 @@ impl Machine {
         if let Some(ids) = self.containers[ci].series {
             return ids;
         }
-        let name = &self.containers[ci].name;
+        let c = &self.containers[ci];
         let rec = &mut self.recorder;
+        let buf = &mut self.scratch.series_name;
+        let mut id = |suffix| container_series_id(rec, buf, &c.name, suffix);
         let ids = ContainerSeriesIds {
-            resident_mib: rec.series_id(&format!("{name}.resident_mib")),
-            swap_mib: rec.series_id(&format!("{name}.swap_mib")),
-            file_cache_mib: rec.series_id(&format!("{name}.file_cache_mib")),
-            psi_mem_some10: rec.series_id(&format!("{name}.psi_mem_some10")),
-            psi_io_some10: rec.series_id(&format!("{name}.psi_io_some10")),
-            psi_cpu_some10: rec.series_id(&format!("{name}.psi_cpu_some10")),
-            promotion_rate: rec.series_id(&format!("{name}.promotion_rate")),
-            refault_rate: rec.series_id(&format!("{name}.refault_rate")),
-            swapout_rate_mbps: rec.series_id(&format!("{name}.swapout_rate_mbps")),
-            rps: self.containers[ci]
-                .web
-                .is_some()
-                .then(|| rec.series_id(&format!("{name}.rps"))),
+            resident_mib: id("resident_mib"),
+            swap_mib: id("swap_mib"),
+            file_cache_mib: id("file_cache_mib"),
+            psi_mem_some10: id("psi_mem_some10"),
+            psi_io_some10: id("psi_io_some10"),
+            psi_cpu_some10: id("psi_cpu_some10"),
+            promotion_rate: id("promotion_rate"),
+            refault_rate: id("refault_rate"),
+            swapout_rate_mbps: id("swapout_rate_mbps"),
+            rps: c.web.is_some().then(|| id("rps")),
         };
         self.containers[ci].series = Some(ids);
         ids
@@ -1192,9 +1218,9 @@ impl Machine {
         suffix: &str,
     ) -> SeriesId {
         let c = &mut self.containers[id.0];
-        let recorder = &mut self.recorder;
-        *slot(&mut c.events)
-            .get_or_insert_with(|| recorder.series_id(&format!("{}.{suffix}", c.name)))
+        let rec = &mut self.recorder;
+        let buf = &mut self.scratch.series_name;
+        *slot(&mut c.events).get_or_insert_with(|| container_series_id(rec, buf, &c.name, suffix))
     }
 
     /// Restarts a killed container (crash churn): reallocates its full

@@ -7,7 +7,8 @@
 //! lost scratch (the panicking host dies holding it) may degrade buffer
 //! reuse, but never results. Nor may scratch retired by a bigger,
 //! differently shaped host: its page slab and LRU lists are emptied
-//! when the next host adopts them.
+//! when the next host adopts them, and its recorder's series, which the
+//! scratch carries too, are cleared.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -17,18 +18,19 @@ use tmo::runner::{FleetRunner, HostCtx, ShardArena};
 use tmo_mm::page::PageState;
 use tmo_mm::{CgroupId, PageId, PageKind};
 
-/// What one host reports: savings plus final sim clock — enough bits
-/// that any divergence in the access/reclaim/fault path shows up.
-type Fingerprint = (HostSavings, SimTime);
+/// What one host reports: savings, final sim clock and every recorded
+/// sample as CSV — enough bits that any divergence in the
+/// access/reclaim/fault path or the recorder shows up.
+type Fingerprint = (HostSavings, SimTime, String);
 
 /// One small Feed host, optionally under fault injection, built on an
-/// adopted scratch and retiring it afterwards. Panics mid-run when the
-/// host's fault schedule says so.
-fn run_host(
+/// adopted scratch and run to its end. Panics mid-run when the host's
+/// fault schedule says so.
+fn simulate(
     seed: u64,
     faults: Option<FaultConfig>,
     scratch: MachineScratch,
-) -> (Fingerprint, MachineScratch) {
+) -> (Machine, ContainerId) {
     let dram = ByteSize::from_mib(64);
     let mut machine = Machine::with_scratch(
         MachineConfig {
@@ -51,7 +53,21 @@ fn run_host(
     for _ in 0..4 {
         machine.tick();
     }
-    let fp = (host_savings(&machine), machine.now());
+    (machine, app)
+}
+
+/// [`simulate`]'s host, fingerprinted, retiring its scratch.
+fn run_host(
+    seed: u64,
+    faults: Option<FaultConfig>,
+    scratch: MachineScratch,
+) -> (Fingerprint, MachineScratch) {
+    let (machine, _) = simulate(seed, faults, scratch);
+    let fp = (
+        host_savings(&machine),
+        machine.now(),
+        machine.recorder().to_csv(),
+    );
     (fp, machine.into_scratch())
 }
 
@@ -218,6 +234,13 @@ fn scratch_from_a_bigger_host_is_clean_at_adoption() {
         first_pages(MachineScratch::default()),
         "the adopted hot slab or cold array was not emptied"
     );
+    // The donor's Web, cache and event series must not leak into the
+    // adopting Feed host's series list, nor its Feed kill.
+    let seed = FleetRunner::host_seed(SEED, 5);
+    let (fresh, _) = simulate(seed, None, MachineScratch::default());
+    let (adopted, app) = simulate(seed, None, donor_scratch(3));
+    assert_eq!(adopted.recorder().names(), fresh.recorder().names());
+    assert_eq!(adopted.kill_count(app), 0);
 }
 
 #[test]

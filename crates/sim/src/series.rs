@@ -125,6 +125,13 @@ impl<T: Copy> Column<T> {
         out
     }
 
+    /// Empties the column, freeing every full chunk and keeping the
+    /// tail's capacity, which is at most `CHUNK` elements.
+    fn clear(&mut self) {
+        self.full = Vec::new();
+        self.tail.clear();
+    }
+
     /// Elements the column has room for without allocating.
     #[cfg(test)]
     fn capacity(&self) -> usize {
@@ -200,6 +207,13 @@ impl Series {
             times.push(ns);
         }
         self.values.push(value);
+    }
+
+    /// Drops every sample and the time axis, keeping the name and the
+    /// value column's open chunk (see [`Recorder::clear`]).
+    fn clear(&mut self) {
+        self.times = TimeAxis::default();
+        self.values.clear();
     }
 
     /// Simulated nanoseconds of sample `i`.
@@ -337,7 +351,10 @@ pub struct SeriesId(usize);
 /// Series live in insertion-ordered slots addressed by [`SeriesId`]; a
 /// name index keeps every observable surface (`series`, `iter`,
 /// `names`, `to_csv`) sorted by name exactly as before, so creation
-/// order never leaks into output.
+/// order never leaks into output. Each slot carries a live flag:
+/// [`Recorder::clear`] marks every slot dead but keeps its name and
+/// open chunk, and resolving the name again revives it, so a recorder
+/// reused for a run with the same series names allocates nothing.
 ///
 /// # Example
 ///
@@ -354,6 +371,9 @@ pub struct SeriesId(usize);
 pub struct Recorder {
     index: BTreeMap<String, usize>,
     slots: Vec<Series>,
+    /// Whether each slot exists in the current run; dead slots are
+    /// hidden from every observable surface.
+    live: Vec<bool>,
 }
 
 impl Recorder {
@@ -362,14 +382,26 @@ impl Recorder {
         Recorder::default()
     }
 
+    /// Removes every series, as if the recorder were new. Each slot
+    /// keeps its name, its index entry and its open chunk's capacity
+    /// (at most one chunk of values) for [`Recorder::series_id`] to
+    /// revive; full chunks and explicit time columns are freed.
+    /// [`SeriesId`]s resolved before the clear must be resolved again.
+    pub fn clear(&mut self) {
+        self.slots.iter_mut().for_each(Series::clear);
+        self.live.fill(false);
+    }
+
     /// Resolves the named series to a stable [`SeriesId`], creating an
     /// empty series on first use.
     pub fn series_id(&mut self, name: &str) -> SeriesId {
         if let Some(&slot) = self.index.get(name) {
+            self.live[slot] = true;
             return SeriesId(slot);
         }
         let slot = self.slots.len();
         self.slots.push(Series::new(name));
+        self.live.push(true);
         self.index.insert(name.to_string(), slot);
         SeriesId(slot)
     }
@@ -392,17 +424,28 @@ impl Recorder {
 
     /// Looks up a series by name.
     pub fn series(&self, name: &str) -> Option<&Series> {
-        self.index.get(name).map(|&slot| &self.slots[slot])
+        self.index
+            .get(name)
+            .filter(|&&slot| self.live[slot])
+            .map(|&slot| &self.slots[slot])
     }
 
     /// All series, sorted by name.
     pub fn iter(&self) -> impl Iterator<Item = &Series> {
-        self.index.values().map(|&slot| &self.slots[slot])
+        self.live_slots().map(|(_, slot)| &self.slots[slot])
     }
 
     /// Names of all recorded series, sorted.
     pub fn names(&self) -> Vec<&str> {
-        self.index.keys().map(String::as_str).collect()
+        self.live_slots().map(|(name, _)| name).collect()
+    }
+
+    /// The live slots' names and indices, sorted by name.
+    fn live_slots(&self) -> impl Iterator<Item = (&str, usize)> {
+        self.index
+            .iter()
+            .filter(|&(_, &slot)| self.live[slot])
+            .map(|(name, &slot)| (name.as_str(), slot))
     }
 
     /// Renders all series as CSV (`series,time_secs,value` rows).
@@ -578,6 +621,48 @@ mod tests {
         assert_eq!(s.values.full.len(), 1);
         assert_eq!(s.values.full[0].capacity(), CHUNK);
         assert_eq!(s.values.tail.capacity(), CHUNK);
+    }
+
+    #[test]
+    fn clear_keeps_at_most_one_open_chunk_per_slot() {
+        let mut rec = Recorder::new();
+        let long = rec.series_id("long");
+        let event = rec.series_id("event");
+        for i in 0..(2 * CHUNK + 5) as u64 {
+            rec.record_id(long, SimTime::from_nanos(100_000_000 * i), i as f64);
+            // Repeated times switch the series to explicit storage.
+            rec.record_id(event, t(i / 2), i as f64);
+        }
+        rec.record("short", t(1), 1.0);
+        rec.clear();
+        assert!(rec.names().is_empty());
+        assert_eq!(rec.iter().count(), 0);
+        assert!(rec.series("long").is_none());
+        for s in &rec.slots {
+            assert!(s.is_empty(), "{}", s.name());
+            assert!(
+                s.values.capacity() <= CHUNK,
+                "{}: capacity {}",
+                s.name(),
+                s.values.capacity()
+            );
+            assert!(
+                matches!(
+                    s.times,
+                    TimeAxis::Stride {
+                        start_ns: 0,
+                        step_ns: 0
+                    }
+                ),
+                "{}: {:?}",
+                s.name(),
+                s.times
+            );
+        }
+        // A revived name gets its old slot back, empty.
+        assert_eq!(rec.series_id("event"), event);
+        assert_eq!(rec.names(), vec!["event"]);
+        assert!(rec.get(event).is_empty());
     }
 
     #[test]

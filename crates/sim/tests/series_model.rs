@@ -9,10 +9,13 @@
 //! sequences that keep, break, repeat and reverse the stride, short
 //! ones and ones that cross chunk boundaries, so a switch or a chunk
 //! index that drops or shifts a sample fails here.
+//!
+//! A [`Recorder`] that is cleared and reused must read exactly like a
+//! fresh one fed only the operations since the last clear.
 
 use proptest::collection;
 use proptest::prelude::*;
-use tmo_sim::{Recorder, Sample, Series, SimTime};
+use tmo_sim::{Recorder, Sample, Series, SeriesId, SimTime};
 
 /// Pushed `(nanoseconds, value)` pairs, in push order.
 type Model = Vec<(u64, f64)>;
@@ -350,4 +353,176 @@ fn stride_breaks_beside_every_boundary_match_the_model() {
             }
         }
     }
+}
+
+/// Series names a recorder op sequence draws from.
+const NAMES: [&str; 3] = ["web.rps", "a", "web.killed"];
+
+/// Spacing of a series' next strided sample.
+const STEP_NS: u64 = 100_000_000;
+
+/// One operation on a recorder. Names are indices into [`NAMES`]; a
+/// `None` time continues the series' stride, a `Some` time usually
+/// breaks it.
+#[derive(Debug, Clone)]
+enum Op {
+    Resolve(usize),
+    RecordId(usize, Option<u64>, f64),
+    Record(usize, Option<u64>, f64),
+    /// `count` strided `record_id` pushes; with `true` the middle one
+    /// repeats its predecessor's time.
+    Burst(usize, usize, bool),
+    Clear,
+}
+
+fn arb_op() -> impl Strategy<Value = Op> {
+    let time = prop_oneof![Just(None), Just(None), (0u64..5_000_000_000).prop_map(Some)];
+    (
+        0u8..12,
+        0..NAMES.len(),
+        time,
+        (arb_value(), prop_oneof![1usize..40, CHUNK - 2..CHUNK + 3]),
+    )
+        .prop_map(|(kind, name, time, (value, count))| match kind {
+            0 | 1 => Op::Resolve(name),
+            2..=5 => Op::RecordId(name, time, value),
+            6..=9 => Op::Record(name, time, value),
+            10 => Op::Burst(name, count, value < 0.0),
+            _ => Op::Clear,
+        })
+}
+
+/// A recorder and the ids it has resolved since its last clear.
+struct Side {
+    rec: Recorder,
+    ids: [Option<SeriesId>; 3],
+}
+
+impl Side {
+    fn new() -> Self {
+        Side {
+            rec: Recorder::new(),
+            ids: [None; 3],
+        }
+    }
+
+    fn resolve(&mut self, name: usize) -> SeriesId {
+        let rec = &mut self.rec;
+        *self.ids[name].get_or_insert_with(|| rec.series_id(NAMES[name]))
+    }
+}
+
+/// Every observable reading of `reused` matches `fresh` bit for bit.
+fn check_same_recorder(reused: &Recorder, fresh: &Recorder) -> TestCaseResult {
+    prop_assert_eq!(reused.names(), fresh.names());
+    for name in NAMES {
+        prop_assert_eq!(
+            reused.series(name).map(|s| bits(s.samples())),
+            fresh.series(name).map(|s| bits(s.samples())),
+            "series({})",
+            name
+        );
+    }
+    prop_assert_eq!(reused.iter().count(), fresh.iter().count());
+    for (a, b) in reused.iter().zip(fresh.iter()) {
+        prop_assert_eq!(a.name(), b.name());
+        prop_assert_eq!(bits(a.samples()), bits(b.samples()));
+    }
+    prop_assert_eq!(reused.to_csv(), fresh.to_csv());
+    Ok(())
+}
+
+/// A recorder that is cleared on every `Clear` beside a fresh one that
+/// is replaced instead, fed the same pushes.
+struct Pair {
+    reused: Side,
+    fresh: Side,
+    /// Each name's next strided time.
+    next_ns: [u64; 3],
+}
+
+impl Pair {
+    fn push(&mut self, name: usize, time: Option<u64>, value: f64, by_id: bool) {
+        let ns = time.unwrap_or(self.next_ns[name]);
+        self.next_ns[name] = ns + STEP_NS;
+        let time = SimTime::from_nanos(ns);
+        for side in [&mut self.reused, &mut self.fresh] {
+            if by_id {
+                let id = side.resolve(name);
+                side.rec.record_id(id, time, value);
+            } else {
+                side.rec.record(NAMES[name], time, value);
+            }
+        }
+    }
+
+    fn apply(&mut self, op: &Op) {
+        match *op {
+            Op::Resolve(name) => {
+                self.reused.resolve(name);
+                self.fresh.resolve(name);
+            }
+            Op::RecordId(name, time, value) => self.push(name, time, value, true),
+            Op::Record(name, time, value) => self.push(name, time, value, false),
+            Op::Burst(name, count, repeat) => {
+                for i in 0..count {
+                    let repeated = self.next_ns[name].saturating_sub(STEP_NS);
+                    let time = (repeat && i == count / 2).then_some(repeated);
+                    self.push(name, time, i as f64, true);
+                }
+            }
+            Op::Clear => {
+                self.reused.rec.clear();
+                self.reused.ids = [None; 3];
+                self.fresh = Side::new();
+            }
+        }
+    }
+}
+
+/// Applies `ops` to both recorders of a [`Pair`], comparing after each.
+fn check_clear_and_reuse(ops: &[Op]) -> TestCaseResult {
+    let mut pair = Pair {
+        reused: Side::new(),
+        fresh: Side::new(),
+        next_ns: [0; 3],
+    };
+    for op in ops {
+        pair.apply(op);
+        check_same_recorder(&pair.reused.rec, &pair.fresh.rec)?;
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// A recorder cleared between runs, with strided, explicit-time and
+    /// chunk-crossing series and names revived after each clear, reads
+    /// exactly like a fresh recorder fed only the current run.
+    #[test]
+    fn cleared_recorder_matches_a_fresh_one(ops in collection::vec(arb_op(), 1..40)) {
+        check_clear_and_reuse(&ops)?;
+    }
+}
+
+/// A long run, a clear, then a short run over the same names and one
+/// new name: the shape a fleet host leaves for the next.
+#[test]
+fn reuse_after_a_chunk_crossing_run_matches_a_fresh_recorder() {
+    let ops = [
+        Op::Burst(0, CHUNK + 2, false),
+        Op::Burst(1, 7, true),
+        Op::Record(2, Some(3), 1.0),
+        Op::Record(2, Some(1), 2.0),
+        Op::Clear,
+        Op::Resolve(1),
+        Op::RecordId(0, None, 5.0),
+        Op::Record(0, None, 6.0),
+        Op::Record(2, None, -0.0),
+        Op::Clear,
+        Op::Clear,
+        Op::Burst(1, CHUNK, false),
+    ];
+    check_clear_and_reuse(&ops).unwrap_or_else(|e| panic!("{e}"));
 }
