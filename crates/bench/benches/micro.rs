@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use tmo_backends::{IoKind, OffloadBackend, SsdModel, ZswapAllocator, ZswapPool};
-use tmo_mm::{MemoryManager, MmConfig, PageKind, ReclaimPolicy};
+use tmo_mm::{MemoryManager, MmConfig, MmScratch, PageKind, ReclaimPolicy};
 use tmo_psi::state::{StateTracker, TaskId};
 use tmo_psi::{IntervalSet, PsiGroup, Resource, SpanBatch};
 use tmo_sim::rng::Zipf;
@@ -103,6 +103,30 @@ fn mm_paths(c: &mut Criterion) {
     let mut swap_latencies = Vec::new();
     group.bench_function("access_4096_of_262144", |b| {
         b.iter(|| black_box(mm.access_batch(&ids, SimTime::from_secs(1), &mut swap_latencies)))
+    });
+    // A host build's footprint: an `ext_paper_scale` host's 24 MiB of
+    // 16 KiB pages, inserted as fresh slab slots into a manager built on
+    // the scratch the previous iteration's manager retired, as a fleet
+    // worker recycles it.
+    group.bench_function("alloc_1536_fresh_pages", |b| {
+        let mut scratch = MmScratch::default();
+        let mut pages = Vec::new();
+        b.iter(|| {
+            let mut mm = MemoryManager::with_scratch(
+                MmConfig {
+                    page_size: ByteSize::from_kib(16),
+                    total_dram: ByteSize::from_mib(64),
+                    ..MmConfig::default()
+                },
+                std::mem::take(&mut scratch),
+            );
+            let cg = mm.create_cgroup("bench", None);
+            pages.clear();
+            mm.alloc_pages_into(cg, PageKind::Anon, 1536, SimTime::ZERO, &mut pages)
+                .expect("fits");
+            black_box(&pages);
+            scratch = mm.into_scratch();
+        })
     });
     group.bench_function("reclaim_256_pages", |b| {
         b.iter_with_setup(

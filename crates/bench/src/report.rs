@@ -35,9 +35,9 @@ pub struct BenchReport {
 }
 
 /// Benchmarks `BENCH_micro.json` must always contain: the mm hot paths
-/// (page access single and batched, reclaim scan), the PSI update path,
-/// and the SSD and zswap store/load paths, plus the supporting micro
-/// groups.
+/// (page access single and batched, reclaim scan, bulk allocation), the
+/// PSI update path, and the SSD and zswap store/load paths, plus the
+/// supporting micro groups.
 pub const REQUIRED_MICRO: &[(&str, &str)] = &[
     ("psi", "observe_8_tasks"),
     ("psi", "interval_union_64"),
@@ -49,6 +49,7 @@ pub const REQUIRED_MICRO: &[(&str, &str)] = &[
     ("mm", "access_4096_resident"),
     ("mm", "access_4096_of_262144"),
     ("mm", "reclaim_256_pages"),
+    ("mm", "alloc_1536_fresh_pages"),
     ("backends", "ssd_read_latency_draw"),
     ("backends", "ssd_store_load"),
     ("backends", "zswap_store_load"),

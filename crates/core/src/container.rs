@@ -78,7 +78,6 @@ pub struct TickStats {
 /// model.
 #[derive(Debug)]
 pub struct Container {
-    pub(crate) name: String,
     pub(crate) cg: CgroupId,
     pub(crate) profile: AppProfile,
     pub(crate) planner: AccessPlanner,
@@ -159,7 +158,7 @@ pub(crate) struct EventSeriesIds {
 impl Container {
     /// Container name (from the profile).
     pub fn name(&self) -> &str {
-        &self.name
+        &self.profile.name
     }
 
     /// The backing cgroup.

@@ -510,7 +510,6 @@ impl Machine {
 
         let id = ContainerId(self.containers.len());
         self.containers.push(Container {
-            name: profile.name.clone(),
             cg,
             profile: profile.clone(),
             planner,
@@ -949,7 +948,7 @@ impl Machine {
         let c = &self.containers[ci];
         let rec = &mut self.recorder;
         let buf = &mut self.scratch.series_name;
-        let mut id = |suffix| container_series_id(rec, buf, &c.name, suffix);
+        let mut id = |suffix| container_series_id(rec, buf, &c.profile.name, suffix);
         let ids = ContainerSeriesIds {
             resident_mib: id("resident_mib"),
             swap_mib: id("swap_mib"),
@@ -1220,7 +1219,8 @@ impl Machine {
         let c = &mut self.containers[id.0];
         let rec = &mut self.recorder;
         let buf = &mut self.scratch.series_name;
-        *slot(&mut c.events).get_or_insert_with(|| container_series_id(rec, buf, &c.name, suffix))
+        *slot(&mut c.events)
+            .get_or_insert_with(|| container_series_id(rec, buf, &c.profile.name, suffix))
     }
 
     /// Restarts a killed container (crash churn): reallocates its full

@@ -11,13 +11,17 @@
 //! count can never drift from the physically matching entries (the
 //! historical `forget_one`/`maybe_compact` duplicate-counting bug).
 //! Lists compact themselves when stale entries dominate.
+//!
+//! Each list's head (newest entry) is the *back* of its deque and
+//! reclaim pops the *front*, so a run of freshly allocated pages joins
+//! a list with one `extend` in allocation order.
 
 use std::collections::VecDeque;
 
 use crate::page::{LruTier, PageId, PageKind};
 
-/// One LRU list. The head (front) holds the most recently inserted
-/// pages; reclaim scans pop from the tail (back).
+/// One LRU list. The head (back of the deque) holds the most recently
+/// inserted pages; reclaim scans pop from the tail (front).
 #[derive(Debug, Clone, Default)]
 pub struct LruList {
     deque: VecDeque<(PageId, u32)>,
@@ -45,8 +49,23 @@ impl LruList {
     /// counts it live. The caller must have bumped the page's generation
     /// beforehand if an older entry for it may still be present.
     pub fn push(&mut self, page: PageId, gen: u32) {
-        self.deque.push_front((page, gen));
+        self.deque.push_back((page, gen));
         self.live += 1;
+    }
+
+    /// Pushes every `(page, generation)` entry at the head in order, as
+    /// that many `push`es would, with one append. The deque grows by
+    /// doubling, as `push` grows it, so a list's capacity (and a host's
+    /// peak memory) does not depend on whether its pages came in bulk.
+    pub(crate) fn push_all(&mut self, entries: impl ExactSizeIterator<Item = (PageId, u32)>) {
+        self.live += entries.len() as u64;
+        let needed = self.deque.len() + entries.len();
+        let mut cap = self.deque.capacity();
+        while cap < needed {
+            cap = (cap * 2).max(4);
+        }
+        self.deque.reserve_exact(cap - self.deque.len());
+        self.deque.extend(entries);
     }
 
     /// Marks one live entry as logically removed (the physical entry is
@@ -62,7 +81,7 @@ impl LruList {
     /// Decrements the live count for the returned entry; the caller
     /// re-`push`es the page (possibly to another list) if it survives.
     pub fn pop_valid(&mut self, mut gen_of: impl FnMut(PageId) -> u32) -> Option<PageId> {
-        while let Some((page, stamp)) = self.deque.pop_back() {
+        while let Some((page, stamp)) = self.deque.pop_front() {
             if gen_of(page) == stamp {
                 self.live = self.live.saturating_sub(1);
                 return Some(page);
@@ -172,6 +191,55 @@ mod tests {
         assert_eq!(l.pop_valid(|_| 0), Some(pid(1)));
         assert_eq!(l.pop_valid(|_| 0), Some(pid(2)));
         assert_eq!(l.len(), 1);
+    }
+
+    #[test]
+    fn bulk_append_keeps_lru_order() {
+        let mut l = LruList::new();
+        l.push_all((0..40).map(|i| (pid(i), 0)));
+        l.push(pid(40), 0);
+        l.push(pid(41), 0);
+        assert_eq!((l.len(), l.physical_len()), (42, 42));
+        // Page 0 leaves (its gen bumped) and comes back at the head.
+        l.forget_one();
+        l.push(pid(0), 1);
+        l.push_all((42..70).map(|i| (pid(i), 0)));
+        assert_eq!((l.len(), l.physical_len()), (70, 71));
+        // Pages 1..40 leave too, so stale entries (theirs and page 0's
+        // first) dominate and the list compacts.
+        let gen_of = |p: PageId| if p.0 < 40 { 1 } else { 0 };
+        for _ in 1..40 {
+            l.forget_one();
+        }
+        l.maybe_compact(gen_of);
+        assert_eq!((l.len(), l.physical_len()), (31, 31));
+        let order: Vec<u32> = std::iter::from_fn(|| l.pop_valid(gen_of))
+            .map(|p| p.0)
+            .collect();
+        let oldest_first: Vec<u32> = [40, 41, 0].into_iter().chain(42..70).collect();
+        assert_eq!(order, oldest_first);
+        assert_eq!((l.len(), l.physical_len()), (0, 0));
+    }
+
+    #[test]
+    fn bulk_append_grows_capacity_as_single_pushes_do() {
+        for (before, n) in [(0, 1), (0, 1536), (3, 5), (100, 28), (1000, 3000)] {
+            let (mut bulk, mut single) = (LruList::new(), LruList::new());
+            for i in 0..before {
+                bulk.push(pid(i), 0);
+                single.push(pid(i), 0);
+            }
+            bulk.push_all((before..before + n).map(|i| (pid(i), 0)));
+            for i in before..before + n {
+                single.push(pid(i), 0);
+            }
+            assert_eq!(
+                bulk.deque.capacity(),
+                single.deque.capacity(),
+                "{before} + {n}"
+            );
+            assert_eq!(bulk.deque, single.deque);
+        }
     }
 
     #[test]

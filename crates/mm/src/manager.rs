@@ -638,7 +638,8 @@ impl MemoryManager {
     /// Inserts `n` resident pages of `kind` owned by `cg` at the head of
     /// its inactive list, appending their ids to `out`. Recycled slots
     /// go first, in `free_slots` pop order; the rest are new slab slots,
-    /// filled with one `resize` per array.
+    /// filled with one `resize` per array. Each group joins the list
+    /// with one append, in the order of `out`.
     fn insert_pages(
         &mut self,
         cg: CgroupId,
@@ -650,12 +651,11 @@ impl MemoryManager {
         let hot = PageMeta::new(kind, now, 0);
         let cold = ColdMeta::new(cg);
         let lru = self.cgroups[cg.0].lrus.list_mut(kind, LruTier::Inactive);
-        let mut fresh = n;
-        while fresh > 0 {
-            let Some(raw) = self.free_slots.pop() else {
-                break;
-            };
-            let id = PageId(raw);
+        let recycled = self.free_slots.len().min(n as usize);
+        let first = out.len();
+        let split = self.free_slots.len() - recycled;
+        out.extend(self.free_slots.drain(split..).rev().map(PageId));
+        lru.push_all(out[first..].iter().map(|&id| {
             // A recycled slot must not inherit the previous tenant's
             // eviction provenance.
             if let Some(p) = &mut self.provenance {
@@ -672,21 +672,19 @@ impl MemoryManager {
                 ..hot
             };
             self.cold[id.slot()] = cold;
-            lru.push(id, meta.gen);
-            out.push(id);
-            fresh -= 1;
-        }
+            (id, meta.gen)
+        }));
+        let fresh = n as usize - recycled;
         if fresh > 0 {
             let start = self.pages.len();
-            let end = start + fresh as usize;
-            // One range check covers every new slot up to `last`.
-            let last = PageId::from_slot(end - 1);
+            let end = start + fresh;
+            // One range check covers every new slot below `end`, so the
+            // casts below are lossless.
+            PageId::from_slot(end - 1);
             self.pages.resize(end, hot);
             self.cold.resize(end, cold);
-            for id in (start as u32..=last.0).map(PageId) {
-                lru.push(id, hot.gen);
-                out.push(id);
-            }
+            lru.push_all((start..end).map(|slot| (PageId(slot as u32), hot.gen)));
+            out.extend((start..end).map(|slot| PageId(slot as u32)));
         }
         self.note_resident(cg, kind, n);
     }

@@ -285,7 +285,8 @@ struct BulkRun {
 /// other with `n` one-page calls (freeing them all on the first error,
 /// as the bulk call does). Both managers must end identical: ids,
 /// stall, error, every cgroup's and the global stats, provenance
-/// charges, and the order in which later reclaims take pages.
+/// charges, and the order, page by page, in which later reclaims take
+/// pages.
 fn bulk_vs_singles(
     slice_max: u64,
     ops: &[DiffOp],
@@ -374,6 +375,21 @@ fn bulk_vs_singles(
         let states: Vec<PageState> = live.iter().map(|&p| bulk.page(p).state()).collect();
         let states_single: Vec<PageState> = live.iter().map(|&p| single.page(p).state()).collect();
         prop_assert_eq!(states, states_single);
+    }
+    // Then one page at a time until nothing is left to take, so the
+    // two must agree on the order of every page, not only on which
+    // eight go next.
+    let mut idle = 0;
+    for &c in cgs.iter().cycle().take(4 * live.len() + 8) {
+        let taken = bulk.reclaim(c, PAGE).reclaimed();
+        prop_assert_eq!(taken, single.reclaim(c, PAGE).reclaimed());
+        let states: Vec<PageState> = live.iter().map(|&p| bulk.page(p).state()).collect();
+        let states_single: Vec<PageState> = live.iter().map(|&p| single.page(p).state()).collect();
+        prop_assert_eq!(states, states_single);
+        idle = if taken.as_u64() == 0 { idle + 1 } else { 0 };
+        if idle == cgs.len() {
+            break;
+        }
     }
     let recycled = match &outcome {
         Ok(out) => out.pages.iter().filter(|id| id.as_u64() < seen).count(),
