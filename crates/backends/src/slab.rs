@@ -24,7 +24,8 @@ struct Slot {
     bytes: u32,
 }
 
-/// A map from issued tokens to stored page sizes.
+/// A map from issued tokens to stored page sizes, with their running
+/// total.
 ///
 /// # Example
 ///
@@ -49,6 +50,8 @@ pub struct TokenSlab {
     /// Free slot indices, reused in LIFO order.
     free: Vec<u32>,
     len: usize,
+    /// Sum of the live entries' sizes.
+    bytes: u64,
 }
 
 impl TokenSlab {
@@ -60,6 +63,11 @@ impl TokenSlab {
     /// Number of live entries.
     pub fn len(&self) -> usize {
         self.len
+    }
+
+    /// Total size of the live entries.
+    pub fn bytes(&self) -> ByteSize {
+        ByteSize::new(self.bytes)
     }
 
     /// Whether no entries are live.
@@ -93,6 +101,7 @@ impl TokenSlab {
         slot.gen = slot.gen.wrapping_add(1);
         slot.bytes = bytes;
         self.len += 1;
+        self.bytes += u64::from(bytes);
         (u64::from(slot.gen) << 32) | u64::from(index)
     }
 
@@ -108,6 +117,7 @@ impl TokenSlab {
         slot.gen = slot.gen.wrapping_add(1);
         self.free.push(index);
         self.len -= 1;
+        self.bytes -= u64::from(slot.bytes);
         Some(ByteSize::new(u64::from(slot.bytes)))
     }
 
@@ -121,6 +131,7 @@ impl TokenSlab {
             self.free.push(index as u32);
         }
         self.len = 0;
+        self.bytes = 0;
     }
 }
 
@@ -149,6 +160,7 @@ mod tests {
         assert_eq!(slab.remove(tokens[4]), Some(kib(5)));
         assert_eq!(slab.remove(tokens[4]), None);
         assert_eq!(slab.len(), 9);
+        assert_eq!(slab.bytes(), kib(50));
     }
 
     #[test]
@@ -281,6 +293,7 @@ mod tests {
                     }
                 }
                 prop_assert_eq!(slab.len(), model.len());
+                prop_assert_eq!(slab.bytes().as_u64(), model.values().sum::<u64>());
             }
         }
     }

@@ -7,7 +7,7 @@
 //! a pTBW endurance budget — the paper's §4.5 write-regulation mechanism
 //! reads these counters.
 
-use tmo_sim::{ByteSize, DetRng, SimDuration};
+use tmo_sim::{ByteSize, DetRng, RateCounter, SimDuration};
 
 use crate::queue::CongestionModel;
 use crate::slab::TokenSlab;
@@ -95,14 +95,10 @@ pub struct SsdDevice {
     stored: TokenSlab,
     read_queue: CongestionModel,
     write_queue: CongestionModel,
+    /// Everything but the stored-page counts, which `stored` holds.
     stats: BackendStats,
-    write_bytes_this_tick: u64,
-    write_rate_bps: f64,
-    /// Tick length the cached decay factor was computed for; ticks are
-    /// fixed-length in practice, so the `exp` runs once, not per tick.
-    /// The cache returns the exact `f64` recomputation would yield.
-    cached_dt_secs: f64,
-    cached_decay: f64,
+    /// Host bytes written, as a bytes-per-second rate.
+    write_rate: RateCounter,
     /// Media bytes physically written (host bytes × write amplification),
     /// the quantity that actually consumes endurance.
     media_bytes_written: f64,
@@ -130,10 +126,7 @@ impl SsdDevice {
             read_queue,
             write_queue,
             stats: BackendStats::default(),
-            write_bytes_this_tick: 0,
-            write_rate_bps: 0.0,
-            cached_dt_secs: 0.0,
-            cached_decay: 1.0,
+            write_rate: RateCounter::new(WRITE_RATE_WINDOW),
             media_bytes_written: 0.0,
             dead: false,
             worn_out: false,
@@ -161,7 +154,7 @@ impl SsdDevice {
     /// `u_eff = utilisation × (1 − op)`, capped.
     pub fn write_amplification(&self) -> f64 {
         let utilization =
-            self.stats.bytes_stored.as_u64() as f64 / self.spec.capacity.as_u64().max(1) as f64;
+            self.stored.bytes().as_u64() as f64 / self.spec.capacity.as_u64().max(1) as f64;
         let u_eff = utilization * (1.0 - self.spec.op_fraction);
         (1.0 / (1.0 - u_eff.min(0.99))).min(WA_CAP)
     }
@@ -182,8 +175,8 @@ impl SsdDevice {
         self.write_queue.on_arrival();
         self.stats.writes += 1;
         self.stats.bytes_written += bytes;
-        self.write_bytes_this_tick += bytes.as_u64();
-        // WA depends only on bytes_stored, which a write does not change,
+        self.write_rate.add(bytes.as_u64());
+        // WA depends only on the bytes stored, which a write does not change,
         // so one computation serves both the media accounting and the GC
         // latency penalty in `access`.
         let wa = self.write_amplification();
@@ -233,8 +226,6 @@ impl OffloadBackend for SsdDevice {
         self.account_write(page_bytes);
         rng.skip_log_normal(self.write_median);
         let token = self.stored.insert(page_bytes);
-        self.stats.pages_stored += 1;
-        self.stats.bytes_stored += page_bytes;
         Some(StoreOutcome {
             token,
             stored_bytes: page_bytes,
@@ -246,24 +237,19 @@ impl OffloadBackend for SsdDevice {
             return None;
         }
         let bytes = self.stored.remove(token)?;
-        self.stats.pages_stored -= 1;
-        self.stats.bytes_stored -= bytes;
         Some(self.access(IoKind::Read, bytes, rng))
     }
 
     fn discard(&mut self, token: u64) -> bool {
-        match self.stored.remove(token) {
-            Some(bytes) => {
-                self.stats.pages_stored -= 1;
-                self.stats.bytes_stored -= bytes;
-                true
-            }
-            None => false,
-        }
+        self.stored.remove(token).is_some()
     }
 
     fn stats(&self) -> BackendStats {
-        self.stats
+        BackendStats {
+            pages_stored: self.stored.len() as u64,
+            bytes_stored: self.stored.bytes(),
+            ..self.stats
+        }
     }
 
     fn capacity(&self) -> ByteSize {
@@ -271,26 +257,15 @@ impl OffloadBackend for SsdDevice {
     }
 
     fn tick(&mut self, dt: SimDuration) {
-        if dt.is_zero() {
-            return;
-        }
         self.read_queue.tick(dt);
         self.write_queue.tick(dt);
-        let dt_secs = dt.as_secs_f64();
-        if dt_secs != self.cached_dt_secs {
-            self.cached_dt_secs = dt_secs;
-            self.cached_decay = (-dt_secs / WRITE_RATE_WINDOW.as_secs_f64()).exp();
-        }
-        let inst = self.write_bytes_this_tick as f64 / dt_secs;
-        let decay = self.cached_decay;
-        self.write_rate_bps = self.write_rate_bps * decay + inst * (1.0 - decay);
-        self.write_bytes_this_tick = 0;
+        self.write_rate.tick(dt);
     }
 
     /// Estimated recent write rate in MB/s (decimal megabytes, matching
     /// the paper's "1 MB/s" regulation threshold).
     fn write_rate_mbps(&self) -> f64 {
-        self.write_rate_bps / 1e6
+        self.write_rate.rate() / 1e6
     }
 
     fn inject(&mut self, fault: DeviceFault) {
@@ -298,8 +273,6 @@ impl OffloadBackend for SsdDevice {
             DeviceFault::Die => {
                 self.dead = true;
                 self.stored.clear();
-                self.stats.pages_stored = 0;
-                self.stats.bytes_stored = ByteSize::ZERO;
             }
             DeviceFault::WearOut => {
                 // Burn the whole pTBW budget: the device goes read-only.
@@ -410,7 +383,7 @@ mod tests {
         // stores fill the drive, which raises their write amplification.)
         let (s, a) = (stored.stats(), accessed.stats());
         assert_eq!((s.writes, s.bytes_written), (a.writes, a.bytes_written));
-        assert_eq!(stored.write_bytes_this_tick, accessed.write_bytes_this_tick);
+        assert_eq!(stored.write_rate, accessed.write_rate);
     }
 
     #[test]

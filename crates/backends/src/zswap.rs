@@ -96,6 +96,7 @@ pub struct ZswapPool {
     capacity: ByteSize,
     allocator: ZswapAllocator,
     stored: TokenSlab,
+    /// Everything but the stored-page counts, which `stored` holds.
     stats: BackendStats,
     /// Median decompression-side fault latency.
     read_median: SimDuration,
@@ -187,8 +188,6 @@ impl OffloadBackend for ZswapPool {
         self.stats.bytes_written += stored_bytes;
         rng.skip_log_normal(self.write_median.as_secs_f64());
         let token = self.stored.insert(stored_bytes);
-        self.stats.pages_stored += 1;
-        self.stats.bytes_stored += stored_bytes;
         Some(StoreOutcome {
             token,
             stored_bytes,
@@ -200,24 +199,19 @@ impl OffloadBackend for ZswapPool {
             return None;
         }
         let bytes = self.stored.remove(token)?;
-        self.stats.pages_stored -= 1;
-        self.stats.bytes_stored -= bytes;
         Some(self.access(IoKind::Read, bytes, rng))
     }
 
     fn discard(&mut self, token: u64) -> bool {
-        match self.stored.remove(token) {
-            Some(bytes) => {
-                self.stats.pages_stored -= 1;
-                self.stats.bytes_stored -= bytes;
-                true
-            }
-            None => false,
-        }
+        self.stored.remove(token).is_some()
     }
 
     fn stats(&self) -> BackendStats {
-        self.stats
+        BackendStats {
+            pages_stored: self.stored.len() as u64,
+            bytes_stored: self.stored.bytes(),
+            ..self.stats
+        }
     }
 
     fn capacity(&self) -> ByteSize {
@@ -234,8 +228,6 @@ impl OffloadBackend for ZswapPool {
                 // Pool contents are DRAM; death loses them all.
                 self.dead = true;
                 self.stored.clear();
-                self.stats.pages_stored = 0;
-                self.stats.bytes_stored = ByteSize::ZERO;
             }
             // Wear-out does not apply to DRAM, but the observable
             // consequence (no further stores) is the same as exhaustion.

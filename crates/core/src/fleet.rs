@@ -103,14 +103,14 @@ pub fn summarize(hosts: &[HostSavings]) -> FleetSummary {
     }
 }
 
-/// Per-container savings normalised to the container's own resident
-/// footprint, split by what was offloaded — the Figure 9 bar for one
-/// application.
+/// Per-container savings normalised to the container's configured
+/// footprint (its profile's `mem_total`), split by what was offloaded —
+/// the Figure 9 bar for one application.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AppSavings {
     /// Application name.
     pub name: String,
-    /// Anonymous savings fraction (of initial resident size).
+    /// Anonymous savings fraction (of the profile's `mem_total`).
     pub anon_fraction: f64,
     /// File-backed savings fraction.
     pub file_fraction: f64,
@@ -125,12 +125,12 @@ impl AppSavings {
 
 /// Computes the Figure 9 bar for one container: net DRAM freed (anon
 /// offload minus zswap pool cost, plus evicted file cache) normalised to
-/// the initial resident footprint.
+/// the container profile's `mem_total`, its configured footprint.
 pub fn app_savings(machine: &Machine, id: ContainerId) -> AppSavings {
     let c = machine.container(id);
     let stat = machine.mm().cgroup_stat(c.cgroup());
     let page = machine.config().page_size;
-    let initial = ByteSize::new(machine.container(id).profile().mem_total.as_u64().max(1));
+    let footprint = ByteSize::new(machine.container(id).profile().mem_total.as_u64().max(1));
     let offloaded = stat.anon_offloaded.to_bytes(page);
     let anon_net = match machine.mm().swap_kind() {
         Some(tmo_backends::BackendKind::Zswap) => {
@@ -141,8 +141,8 @@ pub fn app_savings(machine: &Machine, id: ContainerId) -> AppSavings {
     let file = stat.file_evicted.to_bytes(page);
     AppSavings {
         name: c.name().to_string(),
-        anon_fraction: anon_net / initial,
-        file_fraction: file / initial,
+        anon_fraction: anon_net / footprint,
+        file_fraction: file / footprint,
     }
 }
 

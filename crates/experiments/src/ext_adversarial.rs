@@ -67,12 +67,17 @@ pub fn run_config(scale: Scale, aggressive: bool) -> ScenarioRunConfig {
     }
 }
 
+/// The adversarial host's zswap pool, as a fraction of DRAM.
+pub const POOL_FRACTION: f64 = 0.25;
+
 /// Builds one adversarial host: three containers sized so that scripted
 /// growth in any one of them pressures the others (the blame ledger
-/// needs neighbours worth blaming).
+/// needs neighbours worth blaming), over a zswap pool of
+/// `pool_fraction` of DRAM.
 pub fn build_host(
     seed: u64,
     scale: Scale,
+    pool_fraction: f64,
     faults: Option<FaultConfig>,
     scratch: MachineScratch,
 ) -> Machine {
@@ -81,7 +86,7 @@ pub fn build_host(
         MachineConfig {
             dram,
             swap: SwapKind::Zswap {
-                capacity_fraction: 0.25,
+                capacity_fraction: pool_fraction,
                 allocator: ZswapAllocator::Zsmalloc,
             },
             seed,
@@ -151,7 +156,8 @@ pub fn simulate(
         &cases,
         HOSTS_PER_SCENARIO,
         |&(scenario, cfg), host, arena| {
-            let machine = build_host(host.seed, scale, scenario.faults, arena.take_scratch());
+            let scratch = arena.take_scratch();
+            let machine = build_host(host.seed, scale, POOL_FRACTION, scenario.faults, scratch);
             let (outcome, machine) = run_scenario(machine, scenario, cfg);
             arena.put_scratch(machine.into_scratch());
             outcome

@@ -28,6 +28,7 @@ use tmo::prelude::*;
 use tmo::runner::{FleetRunner, HostOutcome};
 use tmo_scenarios::prelude::*;
 
+use crate::ext_adversarial;
 use crate::report::{pct, ExperimentOutput, Scale};
 
 /// Experiment-level seed; host `i` runs with
@@ -69,36 +70,12 @@ pub fn run_config(scale: Scale) -> ScenarioRunConfig {
     }
 }
 
-/// The same three-container host shape as the adversarial experiment:
-/// a large primary (the natural reclaim victim), the datacenter-tax
-/// sidecar, and a cache — sized so one misbehaving container pressures
-/// the others.
-pub fn build_host(seed: u64, scale: Scale) -> Machine {
-    let dram = ByteSize::from_mib(scale.dram_mib());
-    let mut machine = Machine::new(MachineConfig {
-        dram,
-        swap: SwapKind::Zswap {
-            // Smaller than the adversarial experiment's pool on
-            // purpose: the planted offender must be able to exhaust
-            // the offload path so its pressure reaches the victims.
-            capacity_fraction: 0.10,
-            allocator: ZswapAllocator::Zsmalloc,
-        },
-        seed,
-        faults: None,
-        ..MachineConfig::default()
-    });
-    machine.add_container(&apps::feed().with_mem_total(dram.mul_f64(0.42)));
-    machine.add_container_with(
-        &tax::datacenter_tax(dram),
-        ContainerConfig {
-            relaxed: true,
-            ..ContainerConfig::default()
-        },
-    );
-    machine.add_container(&apps::cache_a().with_mem_total(dram.mul_f64(0.30)));
-    machine
-}
+/// Zswap pool of the planted hosts ([`ext_adversarial::build_host`]),
+/// as a fraction of DRAM: smaller than
+/// [`ext_adversarial::POOL_FRACTION`] on purpose, so the planted
+/// offender can exhaust the offload path and its pressure reaches the
+/// victims.
+pub const POOL_FRACTION: f64 = 0.10;
 
 /// One planted case's fleet-aggregated verdict.
 #[derive(Debug, Clone, PartialEq)]
@@ -149,7 +126,14 @@ fn run_cases(
         EXPERIMENT_SEED,
         &runs,
         HOSTS_PER_CASE,
-        |scenario, host, _arena| run_scenario(build_host(host.seed, scale), scenario, &cfg).0,
+        |scenario, host, arena| {
+            let scratch = arena.take_scratch();
+            let machine =
+                ext_adversarial::build_host(host.seed, scale, POOL_FRACTION, None, scratch);
+            let (outcome, machine) = run_scenario(machine, scenario, &cfg);
+            arena.put_scratch(machine.into_scratch());
+            outcome
+        },
     );
     // Diagnostics to stderr: stdout must stay bit-identical per --jobs.
     eprintln!("blame-validation: {}", stats.summary_line());

@@ -57,8 +57,6 @@ pub struct ChaosHostReport {
     pub faults_injected: u64,
     /// Transient I/O errors absorbed by retry.
     pub io_errors: u64,
-    /// Whether the whole swap stack was dead at the end.
-    pub swap_dead: bool,
 }
 
 /// One aggregated point of the degradation curve.
@@ -144,7 +142,6 @@ pub fn run_host(
         lost_loads: m.mm().global_stat().lost_loads,
         faults_injected: stats.faults_injected,
         io_errors: stats.io_errors,
-        swap_dead: m.mm().swap().is_some_and(|s| s.is_dead()),
     };
     (report, rt.into_machine().into_scratch())
 }

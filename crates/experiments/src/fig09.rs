@@ -1,5 +1,6 @@
 //! Figure 9: memory savings across eight applications, normalised to
-//! their resident memory size, split into anonymous and file-backed
+//! their configured footprint (`AppProfile::mem_total`; the paper
+//! normalises to resident size), split into anonymous and file-backed
 //! savings, with each application on its production backend (compressed
 //! memory for the compressible five, SSD for the quantized/encoded
 //! four).
@@ -9,18 +10,9 @@ use tmo::prelude::*;
 
 use crate::report::{pct, ExperimentOutput, Scale};
 
-/// One application's measured savings.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SavingsRow {
-    /// The measured split.
-    pub savings: AppSavings,
-    /// Whether the backend was compressed memory.
-    pub zswap: bool,
-}
-
 /// Runs one application under the production-style Senpai config on its
 /// backend and measures steady-state savings.
-pub fn measure(profile: &AppProfile, zswap: bool, scale: Scale) -> SavingsRow {
+pub fn measure(profile: &AppProfile, zswap: bool, scale: Scale) -> AppSavings {
     let swap = if zswap {
         SwapKind::Zswap {
             capacity_fraction: 0.3,
@@ -39,10 +31,7 @@ pub fn measure(profile: &AppProfile, zswap: bool, scale: Scale) -> SavingsRow {
     let id = machine.add_container(&app);
     let mut rt = tmo::TmoRuntime::with_senpai(machine, SenpaiConfig::accelerated(scale.speedup()));
     rt.run(SimDuration::from_mins(scale.minutes()));
-    SavingsRow {
-        savings: app_savings(rt.machine(), id),
-        zswap,
-    }
+    app_savings(rt.machine(), id)
 }
 
 /// Regenerates Figure 9 for all eight applications (nine bars — Ads A
@@ -65,16 +54,16 @@ pub fn run(runner: &tmo::runner::FleetRunner, scale: Scale) -> ExperimentOutput 
         let backend = if zswap { "zswap" } else { "ssd" };
         out.line(format!(
             "{:<12} {:<10} {:>8} {:>8} {:>8}",
-            row.savings.name,
+            row.name,
             backend,
-            pct(row.savings.anon_fraction),
-            pct(row.savings.file_fraction),
-            pct(row.savings.total()),
+            pct(row.anon_fraction),
+            pct(row.file_fraction),
+            pct(row.total()),
         ));
         if zswap {
-            zswap_totals.push(row.savings.total());
+            zswap_totals.push(row.total());
         } else {
-            ssd_totals.push(row.savings.total());
+            ssd_totals.push(row.total());
         }
     }
     let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
@@ -93,8 +82,8 @@ mod tests {
     #[test]
     fn compressible_app_saves_on_zswap() {
         let row = measure(&tmo_workload::apps::ads_a(), true, Scale::Quick);
-        assert!(row.savings.total() > 0.04, "total {}", row.savings.total());
-        assert!(row.savings.total() < 0.30);
+        assert!(row.total() > 0.04, "total {}", row.total());
+        assert!(row.total() < 0.30);
     }
 
     #[test]
@@ -104,10 +93,10 @@ mod tests {
         let on_ssd = measure(&tmo_workload::apps::ml(), false, Scale::Quick);
         let on_zswap = measure(&tmo_workload::apps::ml(), true, Scale::Quick);
         assert!(
-            on_ssd.savings.anon_fraction > on_zswap.savings.anon_fraction,
+            on_ssd.anon_fraction > on_zswap.anon_fraction,
             "ssd {} vs zswap {}",
-            on_ssd.savings.anon_fraction,
-            on_zswap.savings.anon_fraction
+            on_ssd.anon_fraction,
+            on_zswap.anon_fraction
         );
     }
 }

@@ -7,10 +7,10 @@
 //! and reclaim priority; usage rolls up the tree so `memory.max` on an
 //! inner node constrains its whole subtree.
 
-use tmo_sim::{ByteSize, PageCount, SimDuration};
+use tmo_sim::{ByteSize, PageCount, RateCounter, SimDuration};
 
 use crate::lru::Lrus;
-use crate::workingset::{EvictionClock, RateCounter};
+use crate::workingset::EvictionClock;
 
 /// Identity of a cgroup within one [`crate::MemoryManager`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]

@@ -14,8 +14,9 @@
 //!   compaction, mirroring `mark_page_accessed` semantics.
 //! * [`cgroup`] — the container hierarchy with per-cgroup accounting,
 //!   `memory.max` limits, and subtree usage rollups.
-//! * [`workingset`] — eviction counters, shadow entries, reuse-distance
-//!   refault classification, and decaying rate counters.
+//! * [`workingset`] — eviction counters, shadow entries, and
+//!   reuse-distance refault classification; the refault, swap-in and
+//!   swap-out rates are [`tmo_sim::RateCounter`]s.
 //! * [`reclaim`] — the legacy file-skewed policy and TMO's
 //!   refault-balanced policy.
 //! * [`manager`] — [`MemoryManager`], tying pages, cgroups, reclaim, and
@@ -54,4 +55,3 @@ pub use reclaim::ReclaimPolicy;
 pub use stats::{
     AccessOutcome, BatchAccessStats, CgroupStat, FaultKind, GlobalStat, ReclaimOutcome,
 };
-pub use workingset::RateCounter;

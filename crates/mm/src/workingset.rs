@@ -9,8 +9,6 @@
 //! Refaults (and swap-ins) feed both memory PSI and the reclaim
 //! balancing policy.
 
-use tmo_sim::SimDuration;
-
 /// Per-cgroup eviction clock for shadow entries.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EvictionClock(u64);
@@ -44,88 +42,6 @@ impl EvictionClock {
     /// still be resident had nothing been evicted in between.
     pub fn is_refault(&self, shadow: u64, resident_pages: u64) -> bool {
         self.reuse_distance(shadow) <= resident_pages
-    }
-}
-
-/// A decaying event-rate estimate (events/second), used for the refault
-/// and swap-in rates that drive reclaim balancing and for `memory.stat`
-/// style rate reporting.
-///
-/// # Example
-///
-/// ```
-/// use tmo_mm::RateCounter;
-/// use tmo_sim::SimDuration;
-///
-/// let mut r = RateCounter::new(SimDuration::from_secs(30));
-/// for _ in 0..120 {
-///     r.add(10);
-///     r.tick(SimDuration::from_secs(1)); // 10 events/s sustained
-/// }
-/// assert!((r.rate() - 10.0).abs() < 0.5);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RateCounter {
-    window_secs: f64,
-    pending: u64,
-    rate: f64,
-    total: u64,
-    /// Tick length the cached decay factor was computed for. Ticks are
-    /// almost always fixed-length, so caching the `exp` here takes it
-    /// off the per-tick path without changing any computed rate (the
-    /// cached value is the exact `f64` the recomputation would yield).
-    cached_dt_secs: f64,
-    cached_decay: f64,
-}
-
-impl RateCounter {
-    /// Creates a counter with the given EWMA window.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is zero.
-    pub fn new(window: SimDuration) -> Self {
-        assert!(!window.is_zero(), "rate window must be non-zero");
-        RateCounter {
-            window_secs: window.as_secs_f64(),
-            pending: 0,
-            rate: 0.0,
-            total: 0,
-            cached_dt_secs: 0.0,
-            cached_decay: 1.0,
-        }
-    }
-
-    /// Records `n` events.
-    pub fn add(&mut self, n: u64) {
-        self.pending += n;
-        self.total += n;
-    }
-
-    /// Folds pending events into the rate; call once per tick.
-    pub fn tick(&mut self, dt: SimDuration) {
-        if dt.is_zero() {
-            return;
-        }
-        let dt_secs = dt.as_secs_f64();
-        if dt_secs != self.cached_dt_secs {
-            self.cached_dt_secs = dt_secs;
-            self.cached_decay = (-dt_secs / self.window_secs).exp();
-        }
-        let inst = self.pending as f64 / dt_secs;
-        let decay = self.cached_decay;
-        self.rate = self.rate * decay + inst * (1.0 - decay);
-        self.pending = 0;
-    }
-
-    /// Smoothed events/second.
-    pub fn rate(&self) -> f64 {
-        self.rate
-    }
-
-    /// Cumulative event count (monotonic, like a `memory.stat` counter).
-    pub fn total(&self) -> u64 {
-        self.total
     }
 }
 
@@ -170,35 +86,5 @@ mod tests {
         let mut clock = EvictionClock::new();
         let shadow = clock.record_eviction();
         assert!(clock.is_refault(shadow, 1));
-    }
-
-    #[test]
-    fn rate_counter_converges_and_decays() {
-        let mut r = RateCounter::new(SimDuration::from_secs(10));
-        for _ in 0..100 {
-            r.add(5);
-            r.tick(SimDuration::from_secs(1));
-        }
-        assert!((r.rate() - 5.0).abs() < 0.1, "rate {}", r.rate());
-        for _ in 0..100 {
-            r.tick(SimDuration::from_secs(1));
-        }
-        assert!(r.rate() < 0.01);
-        assert_eq!(r.total(), 500);
-    }
-
-    #[test]
-    fn rate_counter_zero_dt_noop() {
-        let mut r = RateCounter::new(SimDuration::from_secs(10));
-        r.add(3);
-        r.tick(SimDuration::ZERO);
-        assert_eq!(r.rate(), 0.0);
-        assert_eq!(r.total(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "rate window must be non-zero")]
-    fn zero_window_panics() {
-        let _ = RateCounter::new(SimDuration::ZERO);
     }
 }

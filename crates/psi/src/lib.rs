@@ -48,7 +48,6 @@ pub mod intervals;
 pub mod render;
 pub mod state;
 
-pub use avg::RunningAvg;
 pub use group::{PsiGroup, PsiSnapshot, Resource, SpanBatch};
 pub use intervals::{Interval, IntervalSet, SweepScratch};
 pub use render::render_pressure_file;

@@ -16,6 +16,9 @@
 //!   paper's figures plot.
 //! * [`stats`] — constant-space streaming quantiles ([`P2Quantile`])
 //!   for run-level percentiles.
+//! * [`ewma`] — the time-decayed average ([`Ewma`]) behind PSI's
+//!   running averages, and the event-rate estimate ([`RateCounter`])
+//!   behind the reclaim-balancing rates and the SSD models.
 //! * [`clock`] — the simulation clock and fixed-step tick loop driver.
 //!
 //! # Example
@@ -30,6 +33,7 @@
 //! ```
 
 pub mod clock;
+pub mod ewma;
 pub mod rng;
 pub mod seed_ns;
 pub mod series;
@@ -38,6 +42,7 @@ pub mod time;
 pub mod units;
 
 pub use clock::Clock;
+pub use ewma::{Ewma, RateCounter};
 pub use rng::{derive_host_seed, DetRng};
 pub use series::{Recorder, Sample, Series, SeriesId};
 pub use stats::P2Quantile;

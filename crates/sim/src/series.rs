@@ -340,9 +340,9 @@ impl PipeFinite for f64 {
 
 /// Stable handle to one series inside a [`Recorder`].
 ///
-/// Hot loops resolve a name to a `SeriesId` once and then append via
-/// [`Recorder::record_id`], skipping the per-sample name lookup and the
-/// `String` allocation `record` pays on every call.
+/// A name is resolved to a `SeriesId` once, with
+/// [`Recorder::series_id`], and samples are then appended via
+/// [`Recorder::record_id`] without a per-sample name lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SeriesId(usize);
 
@@ -362,8 +362,8 @@ pub struct SeriesId(usize);
 /// use tmo_sim::{Recorder, SimTime};
 ///
 /// let mut rec = Recorder::new();
-/// rec.record("psi.some", SimTime::from_secs(6), 0.08);
 /// let id = rec.series_id("psi.some");
+/// rec.record_id(id, SimTime::from_secs(6), 0.08);
 /// rec.record_id(id, SimTime::from_secs(12), 0.10);
 /// assert_eq!(rec.series("psi.some").expect("recorded").len(), 2);
 /// ```
@@ -409,12 +409,6 @@ impl Recorder {
     /// Appends a sample to the series behind `id`.
     pub fn record_id(&mut self, id: SeriesId, time: SimTime, value: f64) {
         self.slots[id.0].push(time, value);
-    }
-
-    /// Appends a sample to the named series, creating it on first use.
-    pub fn record(&mut self, name: &str, time: SimTime, value: f64) {
-        let id = self.series_id(name);
-        self.record_id(id, time, value);
     }
 
     /// The series behind `id`.
@@ -549,9 +543,11 @@ mod tests {
     #[test]
     fn recorder_creates_and_appends() {
         let mut rec = Recorder::new();
-        rec.record("a", t(1), 1.0);
-        rec.record("a", t(2), 2.0);
-        rec.record("b", t(1), 9.0);
+        let a = rec.series_id("a");
+        rec.record_id(a, t(1), 1.0);
+        rec.record_id(a, t(2), 2.0);
+        let b = rec.series_id("b");
+        rec.record_id(b, t(1), 9.0);
         assert_eq!(rec.names(), vec!["a", "b"]);
         assert_eq!(rec.series("a").expect("a").len(), 2);
         assert!(rec.series("missing").is_none());
@@ -565,8 +561,9 @@ mod tests {
         let aa = rec.series_id("a.a");
         rec.record_id(zb, t(1), 1.0);
         rec.record_id(aa, t(1), 2.0);
-        rec.record("z.b", t(2), 3.0);
-        assert_eq!(rec.series_id("z.b"), zb);
+        let again = rec.series_id("z.b");
+        assert_eq!(again, zb);
+        rec.record_id(again, t(2), 3.0);
         assert_eq!(rec.names(), vec!["a.a", "z.b"]);
         let ordered: Vec<&str> = rec.iter().map(Series::name).collect();
         assert_eq!(ordered, vec!["a.a", "z.b"]);
@@ -633,7 +630,8 @@ mod tests {
             // Repeated times switch the series to explicit storage.
             rec.record_id(event, t(i / 2), i as f64);
         }
-        rec.record("short", t(1), 1.0);
+        let short = rec.series_id("short");
+        rec.record_id(short, t(1), 1.0);
         rec.clear();
         assert!(rec.names().is_empty());
         assert_eq!(rec.iter().count(), 0);
@@ -668,7 +666,8 @@ mod tests {
     #[test]
     fn csv_export_shape() {
         let mut rec = Recorder::new();
-        rec.record("m", t(1), 0.5);
+        let m = rec.series_id("m");
+        rec.record_id(m, t(1), 0.5);
         let csv = rec.to_csv();
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines[0], "series,time_secs,value");

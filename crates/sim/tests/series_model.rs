@@ -274,15 +274,16 @@ fn check_series(s: &Series, model: &Model, cuts: (f64, f64)) -> TestCaseResult {
     Ok(())
 }
 
-/// The CSV export of `a` and `b`, recorded in interleaved order
-/// through both recorder entry points, replays exactly the pushed
-/// times.
+/// The CSV export of `a` and `b`, recorded in interleaved order, `a`
+/// resolving its name on every push and `b` through one id resolved up
+/// front, replays exactly the pushed times.
 fn check_recorder(a: &Model, b: &Model) -> TestCaseResult {
     let mut rec = Recorder::new();
     let b_id = rec.series_id("b");
     for i in 0..a.len().max(b.len()) {
         if let Some(&(ns, v)) = a.get(i) {
-            rec.record("a", SimTime::from_nanos(ns), v);
+            let a_id = rec.series_id("a");
+            rec.record_id(a_id, SimTime::from_nanos(ns), v);
         }
         if let Some(&(ns, v)) = b.get(i) {
             rec.record_id(b_id, SimTime::from_nanos(ns), v);
@@ -367,8 +368,10 @@ const STEP_NS: u64 = 100_000_000;
 #[derive(Debug, Clone)]
 enum Op {
     Resolve(usize),
+    /// A `record_id` push through the id resolved since the last clear.
     RecordId(usize, Option<u64>, f64),
-    Record(usize, Option<u64>, f64),
+    /// A `record_id` push through an id resolved by name just before.
+    RecordByName(usize, Option<u64>, f64),
     /// `count` strided `record_id` pushes; with `true` the middle one
     /// repeats its predecessor's time.
     Burst(usize, usize, bool),
@@ -386,7 +389,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
         .prop_map(|(kind, name, time, (value, count))| match kind {
             0 | 1 => Op::Resolve(name),
             2..=5 => Op::RecordId(name, time, value),
-            6..=9 => Op::Record(name, time, value),
+            6..=9 => Op::RecordByName(name, time, value),
             10 => Op::Burst(name, count, value < 0.0),
             _ => Op::Clear,
         })
@@ -451,7 +454,8 @@ impl Pair {
                 let id = side.resolve(name);
                 side.rec.record_id(id, time, value);
             } else {
-                side.rec.record(NAMES[name], time, value);
+                let id = side.rec.series_id(NAMES[name]);
+                side.rec.record_id(id, time, value);
             }
         }
     }
@@ -463,7 +467,7 @@ impl Pair {
                 self.fresh.resolve(name);
             }
             Op::RecordId(name, time, value) => self.push(name, time, value, true),
-            Op::Record(name, time, value) => self.push(name, time, value, false),
+            Op::RecordByName(name, time, value) => self.push(name, time, value, false),
             Op::Burst(name, count, repeat) => {
                 for i in 0..count {
                     let repeated = self.next_ns[name].saturating_sub(STEP_NS);
@@ -513,13 +517,13 @@ fn reuse_after_a_chunk_crossing_run_matches_a_fresh_recorder() {
     let ops = [
         Op::Burst(0, CHUNK + 2, false),
         Op::Burst(1, 7, true),
-        Op::Record(2, Some(3), 1.0),
-        Op::Record(2, Some(1), 2.0),
+        Op::RecordByName(2, Some(3), 1.0),
+        Op::RecordByName(2, Some(1), 2.0),
         Op::Clear,
         Op::Resolve(1),
         Op::RecordId(0, None, 5.0),
-        Op::Record(0, None, 6.0),
-        Op::Record(2, None, -0.0),
+        Op::RecordByName(0, None, 6.0),
+        Op::RecordByName(2, None, -0.0),
         Op::Clear,
         Op::Clear,
         Op::Burst(1, CHUNK, false),

@@ -21,7 +21,9 @@
 //! regression shows up both here and as a byte diff in CI.
 
 use tmo::runner::FleetRunner;
-use tmo_experiments::ext_blame_validation::{build_host, planted_cases, run_config, simulate};
+use tmo::MachineScratch;
+use tmo_experiments::ext_adversarial::build_host;
+use tmo_experiments::ext_blame_validation::{planted_cases, run_config, simulate, POOL_FRACTION};
 use tmo_experiments::Scale;
 use tmo_repro::{tmo, tmo_scenarios};
 use tmo_scenarios::prelude::*;
@@ -66,7 +68,8 @@ fn steady_hosts_accuse_no_one() {
     let cfg = run_config(scale);
     let steady = Scenario::new("steady_innocent", "no events at all");
     for seed in [7u64, 1234] {
-        let (outcome, _) = run_scenario(build_host(seed, scale), &steady, &cfg);
+        let machine = build_host(seed, scale, POOL_FRACTION, None, MachineScratch::default());
+        let (outcome, _) = run_scenario(machine, &steady, &cfg);
         let n = outcome.causal.len();
         for v in 0..n {
             for o in 0..n {
